@@ -27,6 +27,10 @@ Usage (after ``pip install -e .``)::
     python -m repro packs validate --file my_pack.toml
     python -m repro packs run smart-home --groups 2
     python -m repro packs run health-telemetry --strategy drop-bad --host inline
+
+The engine runs every shard in-process behind one global use schedule,
+so its decisions equal the middleware's; ``packs run --host`` picks
+between the two (``middleware`` or ``inline``).
 """
 
 from __future__ import annotations
@@ -128,30 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     engine_run.add_argument(
         "--strategy", default="drop-bad", choices=strategy_names()
     )
-    engine_run.add_argument(
-        "--mode", default="inline", choices=["inline", "local", "process"]
-    )
     engine_run.add_argument("--err", type=float, default=0.3)
     engine_run.add_argument("--seed", type=int, default=1)
     engine_run.add_argument("--window", type=int, default=None)
     engine_run.add_argument("--delay", type=float, default=None)
-    engine_run.add_argument("--batch-size", type=int, default=64)
-    engine_run.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker respawns allowed per shard in process mode "
-        "(default: %(default)s -> FaultConfig default)",
-    )
-    engine_run.add_argument(
-        "--batch-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds without batch progress before a process-mode "
-        "worker is declared hung and retried",
-    )
     engine_run.add_argument(
         "--telemetry-out",
         default=None,
@@ -211,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine_bench.add_argument("--contexts", type=int, default=2000)
     engine_bench.add_argument(
         "--strategy", default="drop-latest", choices=strategy_names()
-    )
-    engine_bench.add_argument(
-        "--mode", default="inline", choices=["inline", "local", "process"]
     )
     engine_bench.add_argument("--window", type=int, default=20)
     engine_bench.add_argument("--repeats", type=int, default=2)
@@ -418,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     packs_run.add_argument(
         "--host",
         default="middleware",
-        choices=["middleware", "inline", "local", "process"],
+        choices=["middleware", "inline"],
     )
     packs_run.add_argument("--shards", type=int, default=2)
     packs_run.add_argument(
@@ -570,12 +551,7 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_engine(args, out) -> int:
-    from .engine import (
-        EngineConfig,
-        FaultConfig,
-        ShardedEngine,
-        write_bench_json,
-    )
+    from .engine import EngineConfig, ShardedEngine, write_bench_json
     from .engine.workload import run_scalability_bench
     from .obs import Telemetry, write_sidecar
     from .runtime.snapshot import AsyncCheckConfig
@@ -588,7 +564,6 @@ def _cmd_engine(args, out) -> int:
                 n_contexts=args.contexts,
                 use_window=args.window,
                 strategy=args.strategy,
-                mode=args.mode,
                 repeats=args.repeats,
                 telemetry=telemetry,
             )
@@ -619,7 +594,6 @@ def _cmd_engine(args, out) -> int:
                     "shards": list(args.shards),
                     "contexts": args.contexts,
                     "strategy": args.strategy,
-                    "mode": args.mode,
                 },
             )
             print(f"telemetry sidecar written to {args.telemetry_out}", file=out)
@@ -633,18 +607,10 @@ def _cmd_engine(args, out) -> int:
         args.window if args.window is not None else defaults["use_window"]
     )
     try:
-        fault_overrides = {}
-        if args.max_retries is not None:
-            fault_overrides["max_retries"] = args.max_retries
-        if args.batch_timeout is not None:
-            fault_overrides["batch_timeout_s"] = args.batch_timeout
         config = EngineConfig(
             shards=args.shards,
-            mode=args.mode,
             use_window=use_window,
             use_delay=args.delay,
-            batch_size=args.batch_size,
-            fault=FaultConfig(**fault_overrides),
             kernels=not args.no_kernels,
             batch_kernels=not args.no_batch_kernels,
             runtime_batch=not args.no_runtime_batch,
@@ -671,31 +637,20 @@ def _cmd_engine(args, out) -> int:
     metrics = result.metrics
     print(
         f"engine resolved {metrics.contexts_total} contexts on "
-        f"{metrics.shards} shard(s) [{metrics.mode}] in "
+        f"{metrics.shards} shard(s) in "
         f"{metrics.elapsed_s:.3f}s ({metrics.contexts_per_second:.0f} ctx/s):\n"
         f"  delivered {metrics.delivered_total}, "
         f"discarded {metrics.discarded_total}, "
         f"inconsistencies {metrics.inconsistencies_total}",
         file=out,
     )
-    if metrics.worker_restarts or metrics.degraded_shards:
-        print(
-            f"  fault tolerance: {metrics.worker_restarts} worker "
-            f"restart(s), {metrics.batches_replayed} batch(es) replayed, "
-            f"{metrics.degraded_shards} shard(s) degraded",
-            file=out,
-        )
     for stats in metrics.per_shard:
-        line = (
+        print(
             f"  shard {stats.shard_id}: {stats.constraints} constraints, "
             f"{stats.contexts} contexts, {stats.delivered} delivered, "
-            f"{stats.discarded} discarded"
+            f"{stats.discarded} discarded",
+            file=out,
         )
-        if stats.restarts or stats.degraded:
-            line += f", {stats.restarts} restart(s)"
-            if stats.degraded:
-                line += ", degraded"
-        print(line, file=out)
     if args.ledger:
         print(
             f"decision ledger written to {args.ledger} "
@@ -711,7 +666,6 @@ def _cmd_engine(args, out) -> int:
                 "app": args.app,
                 "strategy": args.strategy,
                 "shards": args.shards,
-                "mode": args.mode,
                 "ruleset_hash": engine.ruleset_hash,
             },
         )

@@ -1,14 +1,15 @@
 """Sharded streaming resolution engine.
 
 The single-pool :class:`~repro.middleware.manager.Middleware` caps
-every run at one pool, one checker and one core.  This package scales
+every run at one pool and one checker.  This package scales
 the same resolution semantics out: a *scope analyzer* partitions the
 consistency constraints into independent shards (constraints are
 coupled only through the context types they quantify over), a *router*
 assigns arriving contexts to shards, and each shard runs its own
-context pool + incremental checker + strategy instance.  Because the
-constraint scopes are disjoint, shard-merged resolution decisions are
-identical to the single-pool middleware's -- a property-based test
+context pool + incremental checker + strategy instance, all driven
+in-process through one global use schedule.  Because the constraint
+scopes are disjoint, sharded resolution decisions are identical to the
+single-pool middleware's -- a property-based test
 (``tests/engine/test_equivalence.py``) machine-checks this on random
 streams.
 
@@ -16,45 +17,28 @@ See ``docs/engine.md`` for the architecture and the shard-safety
 argument.
 """
 
-from .config import EngineConfig, FaultConfig
-from .facade import ShardedEngine
-from .merge import EngineResult, merge_events
+from .config import EngineConfig
+from .facade import EngineResult, ShardedEngine
 from .metrics import EngineMetrics, ShardStats, write_bench_json
 from .router import ContextRouter
 from .scope import ScopePartition, partition_constraints
-from .shard import (
-    ShardCheckpoint,
-    ShardExecutionState,
-    ShardPipeline,
-    ShardRunResult,
-    ShardSpec,
-    run_shard_substream,
-)
+from .shard import ShardPipeline, ShardSpec
 from .stream import EngineStream
-from .supervisor import EngineWorkerError, ShardSupervisor
 from .workload import run_scalability_bench, scalability_workload
 
 __all__ = [
     "EngineConfig",
-    "FaultConfig",
     "ShardedEngine",
     "EngineStream",
-    "EngineWorkerError",
-    "ShardSupervisor",
     "EngineResult",
-    "merge_events",
     "EngineMetrics",
     "ShardStats",
     "write_bench_json",
     "ContextRouter",
     "ScopePartition",
     "partition_constraints",
-    "ShardCheckpoint",
-    "ShardExecutionState",
     "ShardPipeline",
-    "ShardRunResult",
     "ShardSpec",
-    "run_shard_substream",
     "run_scalability_bench",
     "scalability_workload",
 ]

@@ -2,11 +2,9 @@
 
 ``EngineMetrics`` is a *view* over the telemetry registry: shards
 flush their accounting into per-shard ``engine_shard_*`` series
-(:meth:`~repro.engine.shard.ShardPipeline.flush_stats`), workers ship
-registry snapshots back over the result queues, and
-:meth:`EngineMetrics.from_registry` reads the merged registry back
-into the familiar totals -- one accounting path, whichever execution
-mode ran.
+(:meth:`~repro.engine.shard.ShardPipeline.flush_stats`) and
+:meth:`EngineMetrics.from_registry` reads the registry back into the
+familiar totals -- one accounting path.
 
 ``BENCH_engine.json`` (written under ``benchmarks/out/`` next to the
 textual reports) records contexts/second per shard count so tooling
@@ -41,25 +39,17 @@ class ShardStats:
     discarded: int = 0
     inconsistencies: int = 0
     detect_calls: int = 0
-    #: Fault-tolerance accounting (process mode; zero elsewhere).
-    restarts: int = 0
-    replayed: int = 0
-    degraded: bool = False
 
 
 @dataclass
 class EngineMetrics:
     """Whole-run accounting: totals, per-shard stats, throughput."""
 
-    mode: str = "inline"
     shards: int = 1
     contexts_total: int = 0
     delivered_total: int = 0
     discarded_total: int = 0
     inconsistencies_total: int = 0
-    worker_restarts: int = 0
-    batches_replayed: int = 0
-    degraded_shards: int = 0
     elapsed_s: float = 0.0
     per_shard: List[ShardStats] = field(default_factory=list)
 
@@ -70,15 +60,12 @@ class EngineMetrics:
         return self.contexts_total / self.elapsed_s
 
     @classmethod
-    def from_registry(
-        cls, registry, *, mode: str, shards: int
-    ) -> "EngineMetrics":
-        """Build the metrics view from a (merged) telemetry registry.
+    def from_registry(cls, registry, *, shards: int) -> "EngineMetrics":
+        """Build the metrics view from a telemetry registry.
 
         Reads the ``engine_shard_*`` series every shard flushed
-        (``registry`` is a :class:`repro.obs.MetricsRegistry`); shards
-        that never flushed -- e.g. a worker that died -- simply read
-        as zeros rather than corrupting the totals.
+        (``registry`` is a :class:`repro.obs.MetricsRegistry`); a shard
+        that never flushed reads as zeros.
         """
         per_shard: List[ShardStats] = []
         for shard_id in range(shards):
@@ -108,27 +95,14 @@ class EngineMetrics:
                             "engine_shard_detect_calls_total", labels
                         )
                     ),
-                    restarts=int(
-                        registry.value("engine_worker_restarts_total", labels)
-                    ),
-                    replayed=int(
-                        registry.value("engine_batches_replayed_total", labels)
-                    ),
-                    degraded=bool(
-                        registry.value("engine_degraded", labels)
-                    ),
                 )
             )
         return cls(
-            mode=mode,
             shards=shards,
             contexts_total=sum(s.contexts for s in per_shard),
             delivered_total=sum(s.delivered for s in per_shard),
             discarded_total=sum(s.discarded for s in per_shard),
             inconsistencies_total=sum(s.inconsistencies for s in per_shard),
-            worker_restarts=sum(s.restarts for s in per_shard),
-            batches_replayed=sum(s.replayed for s in per_shard),
-            degraded_shards=sum(1 for s in per_shard if s.degraded),
             per_shard=per_shard,
         )
 
@@ -145,21 +119,14 @@ class EngineMetrics:
 
     def summary_text(self) -> str:
         """One-line human summary (rounded for reading, not storage)."""
-        text = (
+        return (
             f"{self.contexts_total} contexts on {self.shards} shard(s) "
-            f"[{self.mode}] in {self.elapsed_s:.3f}s "
+            f"in {self.elapsed_s:.3f}s "
             f"({self.contexts_per_second:.1f} ctx/s): "
             f"{self.delivered_total} delivered, "
             f"{self.discarded_total} discarded, "
             f"{self.inconsistencies_total} inconsistencies"
         )
-        if self.worker_restarts or self.degraded_shards:
-            text += (
-                f"; {self.worker_restarts} worker restart(s), "
-                f"{self.batches_replayed} batch(es) replayed, "
-                f"{self.degraded_shards} shard(s) degraded"
-            )
-        return text
 
 
 def write_bench_json(

@@ -9,8 +9,8 @@ with a stable hash: all of one subject's unconstrained contexts land on
 one shard, keeping per-subject arrival order intact within the shard.
 
 Hashing uses :func:`zlib.crc32`, not :func:`hash`, because Python's
-string hashing is salted per process and the parent and its worker
-processes must agree on every routing decision.
+string hashing is salted per process, and a run and its ledger replay
+in another process must agree on every routing decision.
 """
 
 from __future__ import annotations

@@ -142,8 +142,8 @@ def partition_constraints(
     """Partition ``constraints`` into at most ``shards`` shards.
 
     Deterministic: the same constraint set and shard count always
-    produce the same assignment (required so the router in a worker
-    process agrees with the parent's).
+    produce the same assignment (required so a ledger replay in another
+    process attributes every context to the shard that recorded it).
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

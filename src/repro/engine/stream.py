@@ -11,20 +11,19 @@ flushes the remaining pending uses only when the session closes.
 
 Decision equivalence: submitting a stream through any sequence of
 ``submit`` calls followed by ``close`` produces byte-identical
-decisions to ``ShardedEngine.run`` over the concatenated stream in
-inline mode -- chunking is invisible to the runtime (the golden
+decisions to ``ShardedEngine.run`` over the concatenated stream --
+chunking is invisible to the runtime (the golden
 equivalence suite pins this for the batch path, and
 ``tests/engine/test_stream.py`` pins it for open sessions).
 
 The session is single-submitter by design: one caller (the serve
 layer's engine pump task) feeds it sequentially.  It is not
-thread-safe and never spawns workers -- scaling beyond one core is the
-process mode's job, behind this same facade.
+thread-safe and never spawns workers.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.context import Context
 from ..ledger import LedgerRecorder, LedgerWriter
@@ -38,7 +37,6 @@ from ..middleware.bus import (
 )
 from ..obs.telemetry import Telemetry
 from ..runtime.batch import receive_batch
-from .shard import ShardPipeline, StreamDriver
 
 __all__ = ["EngineStream"]
 
@@ -63,20 +61,7 @@ class EngineStream:
             else Telemetry.disabled()
         )
         self.telemetry = bundle
-        pipelines: List[ShardPipeline] = []
-        for spec in engine.shard_specs():
-            pipeline = spec.build(telemetry=bundle)
-            pipeline.bus = engine.bus
-            pipelines.append(pipeline)
-        self.pipelines = pipelines
-        self.driver = StreamDriver(
-            pipelines,
-            engine.router.route,
-            use_window=engine.config.use_window,
-            use_delay=engine.config.use_delay,
-            async_check=engine.config.async_check,
-            batch_kernels=engine.config.batch_kernels,
-        )
+        self.pipelines, self.driver = engine.build_driver(bundle)
         self.bus = engine.bus
         self.submitted = 0
         self.delivered = 0

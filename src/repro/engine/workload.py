@@ -6,8 +6,8 @@ family coupled by a chain of two-variable consistency constraints over
 adjacent types.  The single-pool middleware pays O(pool) bookkeeping
 per arrival across *all* families (pool scans, checking-scope
 filtering, per-type indexing); a shard only pays for its own family,
-which is where the measured speedup comes from even before worker
-processes add real parallelism on multi-core hosts.
+which is where the measured speedup comes from: smaller per-shard
+pools, not parallelism (every shard runs in one process).
 
 Decisions are identical at every shard count (the equivalence property
 the engine guarantees), so throughput is the only thing that varies.
@@ -97,7 +97,6 @@ def run_scalability_bench(
     n_contexts: int = 2000,
     use_window: int = 20,
     strategy: str = "drop-latest",
-    mode: str = "inline",
     repeats: int = 2,
     seed: int = 0,
     workload: Optional[Tuple[List[Constraint], List[Context]]] = None,
@@ -131,7 +130,6 @@ def run_scalability_bench(
     for shards in shard_counts:
         config = EngineConfig(
             shards=shards,
-            mode=mode,
             use_window=use_window,
             kernels=kernels,
             batch_kernels=batch_kernels,
@@ -176,7 +174,6 @@ def run_scalability_bench(
         "workload": {
             "n_contexts": len(contexts),
             "strategy": strategy,
-            "mode": mode,
             "use_window": use_window,
             "seed": seed,
             "kernels": kernels,

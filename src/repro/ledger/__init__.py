@@ -12,9 +12,8 @@ dropping or reordering history is detectable from the file alone.
 
 Emission rides the canonical runtime's event bus, so every host
 records for free: ``Middleware`` via :class:`LedgerService`, the
-sharded engine via ``EngineConfig(ledger_path=...)`` (per-shard
-segments merged deterministically in local/process modes), the
-serving front-door through the engine's open stream.
+sharded engine via ``EngineConfig(ledger_path=...)``, the serving
+front-door through the engine's open stream.
 
 The reader side needs nothing but the file: ``repro ledger verify``
 (chain + ruleset check), ``repro ledger explain <ctx-id>`` (causal
@@ -34,7 +33,7 @@ from .reader import (
     read_ledger,
     verify_ledger,
 )
-from .recorder import LedgerRecorder, entries_from_events, merge_segments
+from .recorder import LedgerRecorder, entries_from_events
 from .records import (
     DECISION_KINDS,
     LEDGER_VERSION,
@@ -63,7 +62,6 @@ __all__ = [
     "LedgerWriter",
     "LedgerRecorder",
     "entries_from_events",
-    "merge_segments",
     "LedgerService",
     "read_ledger",
     "iter_ledger",

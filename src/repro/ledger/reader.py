@@ -157,7 +157,7 @@ def ledger_signature(entries: Entries) -> Dict[str, List[str]]:
     """The recorded run's ``decision_signature``, from the ledger alone.
 
     Byte-compatible with
-    :meth:`repro.engine.merge.EngineResult.decision_signature`:
+    :meth:`repro.engine.facade.EngineResult.decision_signature`:
     delivered / discarded context ids in decision order.
     """
     delivered: List[str] = []

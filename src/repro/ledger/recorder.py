@@ -1,8 +1,7 @@
 """Event-stream recording: lifecycle bus events -> ledger entries.
 
-Since ISSUE 5 every host -- the single-pool middleware, the inline /
-local / process engine shards and the serving front-door -- runs the
-one canonical :class:`~repro.runtime.pipeline.ResolutionPipeline`,
+Every host -- the single-pool middleware, the engine's shards and the
+serving front-door -- runs the one canonical :class:`~repro.runtime.pipeline.ResolutionPipeline`,
 which publishes the full lifecycle vocabulary on its event bus.  The
 recorder converts that stream into ledger entries, so wiring a ledger
 into a new host costs one bus subscription, never new stage logic.
@@ -13,13 +12,9 @@ Two consumption styles:
   feeds a sink per event (the serving front-door's open stream, the
   middleware's :class:`~repro.ledger.service.LedgerService`);
 * **post-hoc** -- :func:`entries_from_events` converts a recorded
-  event list (a shard's :class:`~repro.engine.shard.ShardRunResult`
-  ``events``) into one per-shard *segment*, and
-  :func:`merge_segments` interleaves segments into the deterministic
-  global order -- the same ``(at, shard, seq)`` k-way merge
-  :func:`repro.engine.merge.merge_events` applies to the events
-  themselves, so the merged ledger's decision order is byte-identical
-  to the merged :class:`~repro.engine.merge.EngineResult`.
+  event list (an :class:`~repro.engine.facade.EngineResult`'s
+  ``events``) into entries in the same order, so the ledger's
+  decision order is the result's.
 
 The recorder keeps two small indexes: context -> owning shard (from
 arrivals; popped on terminal verdicts) and context -> implicating
@@ -29,8 +24,7 @@ entry carries).  Both are bounded by the number of in-flight contexts.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.context import Context
 from ..middleware.bus import (
@@ -59,7 +53,7 @@ from .records import (
     KIND_STALE,
 )
 
-__all__ = ["LedgerRecorder", "entries_from_events", "merge_segments"]
+__all__ = ["LedgerRecorder", "entries_from_events"]
 
 # ContextBuffered is deliberately absent: buffering is mechanical
 # staging, not a verdict (see :mod:`.records`), and at ~one event per
@@ -264,31 +258,16 @@ class LedgerRecorder:
         return handle
 
 
-def _pinned_shard(shard: int) -> Callable[[Context], int]:
-    def shard_of(_ctx: Context) -> int:
-        return shard
-
-    return shard_of
-
-
 def entries_from_events(
     events: Iterable[Event],
     *,
-    shard_id: Optional[int] = None,
     shard_of: Optional[Callable[[Context], int]] = None,
 ) -> List[dict]:
     """Convert a recorded event stream into ledger entries.
 
-    ``shard_id`` pins every entry to one shard (a worker's own event
-    list); ``shard_of`` attributes per context (a globally merged
-    stream).  Exactly one of the two should be given -- neither means
-    single-pool shard ``0``.
+    ``shard_of`` attributes each context to its shard; without it
+    every entry is single-pool shard ``0``.
     """
-    if shard_id is not None:
-        if shard_of is not None:
-            raise ValueError("pass shard_id or shard_of, not both")
-        shard_of = _pinned_shard(int(shard_id))
-
     out: List[dict] = []
     recorder = LedgerRecorder(out.append, shard_of=shard_of)
     # Post-hoc conversion is the engine's bulk emission path; running
@@ -307,22 +286,3 @@ def entries_from_events(
             if entry is not None:
                 append(entry)
     return out
-
-
-def merge_segments(segments: Sequence[Sequence[dict]]) -> List[dict]:
-    """K-way merge of per-shard entry segments into global order.
-
-    The same deterministic key :func:`repro.engine.merge.merge_events`
-    uses -- ``(at, shard, position)``: each segment is already
-    time-ordered (shard clocks are monotone), ties across shards break
-    lowest shard first, ties within a shard keep segment order.
-    """
-    keyed = []
-    for segment in segments:
-        keyed.append(
-            [
-                (entry["at"], entry["shard"], position, entry)
-                for position, entry in enumerate(segment)
-            ]
-        )
-    return [item[3] for item in heapq.merge(*keyed)]

@@ -109,8 +109,7 @@ _STANDARD_REGISTRY_SPEC = "repro.constraints.builtins:standard_registry"
 def registry_spec(factory: Optional[Callable]) -> Optional[str]:
     """A ``"module:qualname"`` spec re-resolving to ``factory``.
 
-    Covers the cases the engine documents as process-safe: module-level
-    callables and bound methods of no-argument-constructible classes
+    Covers module-level callables and bound methods of no-argument-constructible classes
     (the application objects' ``build_registry``).  Closures, lambdas
     and locals have no stable spec -- ``None`` is returned and replay
     will need an explicit registry (``repro ledger replay --app``).

@@ -6,17 +6,17 @@ the strategy name + kwargs and the window semantics.  Replay rebuilds
 the resolution pipeline from the header, feeds it the recorded
 arrivals, and asserts the resulting ``decision_signature`` is
 byte-identical to the one the ledger records -- time-travel debugging
-and crash recovery beyond the engine's checkpoints: the ledger alone
-reconstitutes the run.
+and crash recovery: the ledger alone reconstitutes the run.
 
-Replay executes in the engine's deterministic ``inline`` mode by
-default.  That is sufficient for every recording host: the golden
-equivalence suite pins that middleware, inline, local and process
-execution produce byte-identical decisions over one stream, so an
-inline re-execution must match a ledger recorded in any mode.  (The
+Replay executes on the sharded engine, which is sufficient for every
+recording host: the golden equivalence suite pins that the middleware
+and the engine produce byte-identical decisions over one stream.  (The
 one documented exception is ``drop-random``: its per-shard RNG draws
 are not captured in the ruleset, so stochastic runs cannot be
-re-projected.)
+re-projected.)  Ledgers recorded by older builds in the removed
+``local`` / ``process`` modes still verify and replay; where those
+modes' per-shard use windows changed a decision, replay reports the
+first mismatch.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ def replay_ledger(
             shards=shards
             if shards is not None
             else int(meta.get("shards", 1) or 1),
-            mode="inline",
             use_window=int(ruleset.get("use_window", 4)),
             use_delay=ruleset.get("use_delay"),
             async_check=(

@@ -4,7 +4,7 @@ The observability layer the performance work reads its numbers from
 (docs/observability.md).  Dependency-free and middleware-agnostic:
 
 * :class:`MetricsRegistry` -- counters, gauges, fixed-bucket
-  histograms; thread-safe; snapshot/merge for process-mode shards;
+  histograms; thread-safe; plain-dict snapshots;
 * :class:`SpanTracer` -- ring-buffered nested spans with a JSONL
   exporter;
 * :class:`Telemetry` -- one registry + one tracer, pluggable into the

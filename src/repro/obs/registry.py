@@ -5,14 +5,12 @@ subsystem (docs/observability.md).  Design constraints:
 
 * **dependency-free** -- plain stdlib, no prometheus_client;
 * **thread-safe** -- one lock per registry guards family creation, one
-  lock per instrument guards updates, so shard threads and bus
-  subscribers can record concurrently;
-* **mergeable** -- a registry serializes to a plain-dict snapshot that
-  travels over the engine's process-mode result queues and merges back
-  into the parent registry (counters and histograms add, gauges keep
-  the maximum);
+  lock per instrument guards updates, so the serve tier's threads and
+  bus subscribers can record concurrently;
+* **serializable** -- a registry snapshots to a plain dict (the
+  telemetry sidecar and the exporters read it);
 * **fixed buckets** -- histograms use fixed boundaries chosen at
-  creation, so merging never has to reconcile bucket layouts.
+  creation.
 
 Instruments are identified by ``(family name, label set)``; the first
 ``counter``/``gauge``/``histogram`` call for a family fixes its type
@@ -21,7 +19,6 @@ Instruments are identified by ``(family name, label set)``; the first
 
 from __future__ import annotations
 
-import logging
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -35,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
 ]
 
-_log = logging.getLogger("repro.obs")
 
 #: Default latency buckets (seconds): 50us .. 2.5s, roughly log-spaced.
 #: Wide enough for a full batch, fine enough for one incremental check.
@@ -268,7 +264,7 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._families)
 
-    # -- snapshot / merge ----------------------------------------------------
+    # -- snapshot ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Serialize to a plain JSON-ready dict (queue- and file-safe)."""
@@ -294,70 +290,6 @@ class MetricsRegistry:
             if "buckets" in meta:
                 meta["buckets"] = list(meta["buckets"])  # type: ignore[index]
         return {"families": families, "series": series}
-
-    def merge_snapshot(self, data: Optional[Mapping[str, object]]) -> int:
-        """Fold a snapshot into this registry; returns series merged.
-
-        Counters and histograms add; gauges keep the maximum (the only
-        merge with a scale-free meaning across shards).  Malformed
-        entries -- e.g. from a worker that died mid-serialization --
-        are skipped with a warning instead of corrupting the registry.
-        """
-        if not isinstance(data, Mapping):
-            if data is not None:
-                _log.warning(
-                    "ignoring non-mapping telemetry snapshot: %r", type(data)
-                )
-            return 0
-        families = data.get("families")
-        series = data.get("series")
-        if not isinstance(families, Mapping) or not isinstance(series, list):
-            _log.warning("ignoring malformed telemetry snapshot (no series)")
-            return 0
-        merged = 0
-        for entry in series:
-            try:
-                merged += self._merge_entry(families, entry)
-            except (KeyError, TypeError, ValueError) as error:
-                _log.warning(
-                    "skipping unmergeable telemetry series %r: %s", entry, error
-                )
-        return merged
-
-    def _merge_entry(
-        self, families: Mapping[str, object], entry: Mapping[str, object]
-    ) -> int:
-        name = entry["name"]
-        meta = families[name]
-        kind = meta["type"]  # type: ignore[index]
-        labels = entry.get("labels") or {}
-        if kind == "counter":
-            self._get(name, "counter", str(meta.get("help", "")), labels).inc(  # type: ignore[union-attr]
-                float(entry["value"])
-            )
-        elif kind == "gauge":
-            gauge = self._get(name, "gauge", str(meta.get("help", "")), labels)
-            gauge.set(max(gauge.value, float(entry["value"])))  # type: ignore[union-attr]
-        elif kind == "histogram":
-            buckets = tuple(float(b) for b in meta["buckets"])  # type: ignore[index]
-            histogram = self._get(
-                name, "histogram", str(meta.get("help", "")), labels, buckets
-            )
-            counts = list(entry["counts"])
-            if len(counts) != len(histogram.counts):  # type: ignore[union-attr]
-                raise ValueError("bucket layout mismatch")
-            with histogram._lock:  # type: ignore[union-attr]
-                for index, count in enumerate(counts):
-                    histogram.counts[index] += int(count)  # type: ignore[union-attr]
-                histogram.sum += float(entry["sum"])  # type: ignore[union-attr]
-                histogram.count += int(entry["count"])  # type: ignore[union-attr]
-        else:
-            raise ValueError(f"unknown instrument type {kind!r}")
-        return 1
-
-    def merge(self, other: "MetricsRegistry") -> int:
-        """Fold another live registry into this one."""
-        return self.merge_snapshot(other.snapshot())
 
     def clear(self) -> None:
         """Drop every family and series (between experiment groups)."""

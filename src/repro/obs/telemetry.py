@@ -13,9 +13,7 @@ The canonical instrument names (see docs/observability.md):
 * ``strategy_discards_total{strategy=...}`` -- discard decisions per
   strategy plug-in;
 * ``engine_shard_*_total{shard=...}`` -- the per-shard accounting the
-  engine's :class:`~repro.engine.metrics.EngineMetrics` is a view of;
-* ``engine_queue_wait_seconds`` / ``engine_batch_seconds`` -- process-
-  mode queue wait and batch latency.
+  engine's :class:`~repro.engine.metrics.EngineMetrics` is a view of.
 
 :meth:`Telemetry.stage` records **both** a span (named ``stage.<name>``,
 nested under any open span) and one observation in the stage latency
@@ -159,7 +157,7 @@ class Telemetry:
     ``stage_buckets`` overrides the bucket boundaries of the
     ``repro_stage_seconds`` histograms this bundle creates; the default
     (``None``) keeps :data:`~repro.obs.registry.DEFAULT_LATENCY_BUCKETS`,
-    so existing sidecars and process-mode snapshots merge unchanged.
+    so existing sidecars keep their layout.
     Latency-sensitive surfaces (the serving front-door) pass
     :data:`~repro.obs.registry.FINE_LATENCY_BUCKETS` for sub-millisecond
     percentile resolution.  The layout is fixed per registry at first
@@ -298,7 +296,7 @@ class Telemetry:
         if self.enabled:
             self.registry.counter(name, help=help, labels=labels).inc(amount)
 
-    # -- snapshot / merge -----------------------------------------------------
+    # -- snapshot -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Queue-/file-safe dict: metrics + span counts + ringed spans."""
@@ -306,13 +304,6 @@ class Telemetry:
             "metrics": self.registry.snapshot(),
             "trace": self.tracer.snapshot(),
         }
-
-    def merge_snapshot(self, data: Optional[Mapping[str, object]]) -> None:
-        """Fold a worker bundle's snapshot into this one."""
-        if not isinstance(data, Mapping):
-            return
-        self.registry.merge_snapshot(data.get("metrics"))  # type: ignore[arg-type]
-        self.tracer.merge_snapshot(data.get("trace"))  # type: ignore[arg-type]
 
     def clear(self) -> None:
         self.registry.clear()

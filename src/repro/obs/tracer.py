@@ -13,10 +13,8 @@ remain exact even after eviction.  ``export_jsonl`` writes the ring
 for offline analysis; ``slowest`` answers the ``repro obs spans``
 query.
 
-Each worker process owns its own tracer; snapshots merge in the parent
-(counts add, rings concatenate).  Within one process the span stack is
-per-thread, so concurrent shard threads cannot corrupt each other's
-nesting.
+The span stack is per-thread, so concurrent threads cannot corrupt
+each other's nesting.
 """
 
 from __future__ import annotations
@@ -264,37 +262,6 @@ class SpanTracer:
             "counts": counts,
             "spans": [SpanRecord(*entry).to_dict() for entry in entries],
         }
-
-    def merge_snapshot(self, data: Optional[Mapping[str, object]]) -> None:
-        """Fold a worker tracer's snapshot in (counts add, rings chain)."""
-        if not isinstance(data, Mapping):
-            return
-        counts = data.get("counts")
-        spans = data.get("spans")
-        with self._lock:
-            if isinstance(counts, Mapping):
-                for name, count in counts.items():
-                    try:
-                        self.counts[str(name)] = self.counts.get(
-                            str(name), 0
-                        ) + int(count)  # type: ignore[arg-type]
-                    except (TypeError, ValueError):
-                        continue
-        if isinstance(spans, list):
-            for entry in spans:
-                try:
-                    record = SpanRecord.from_dict(entry)
-                except (KeyError, TypeError, ValueError):
-                    continue
-                with self._lock:
-                    self._ring.append((
-                        record.name,
-                        record.start,
-                        record.duration,
-                        record.span_id,
-                        record.parent_id,
-                        record.attrs,
-                    ))
 
     def clear(self) -> None:
         with self._lock:

@@ -7,8 +7,7 @@ deliver/discard life cycle, shared by every entry point:
   reproduction host -- is a thin adapter over one
   :class:`ResolutionPipeline` and one :class:`PipelineDriver`;
 * the engine's ``ShardPipeline``/``StreamDriver``
-  (:mod:`repro.engine.shard`) adapt the same classes per shard, with
-  :class:`UseScheduler` state riding shard checkpoints.
+  (:mod:`repro.engine.shard`) adapt the same classes per shard.
 
 See ``docs/runtime.md`` for the stage/semantics reference.
 """

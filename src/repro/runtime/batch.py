@@ -46,8 +46,8 @@ exact soundness conditions; whenever they cannot be established the
 arrival transparently falls back to the per-context detect, so
 decisions never depend on the flag.
 
-The engine's shard batches (``ShardExecutionState.process_batch``) and
-the middleware's ``receive_all`` both feed through here, so the batch
+The engine's ``run`` and open streams and the middleware's
+``receive_all`` all feed through here, so the batch
 path is the one hot loop everything shares.
 """
 

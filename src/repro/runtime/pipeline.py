@@ -18,12 +18,11 @@ Two classes split the work along the line the sharded engine needs:
 * :class:`PipelineDriver` -- the arrival loop over one or more
   pipelines: the simulation clock, the use scheduler, routing, due-use
   draining and end-of-stream flushing.  One driver over n pipelines is
-  the inline engine's global schedule; one driver over one pipeline is
-  the single-pool middleware and the shard-local worker schedule.
+  the engine's global schedule; one driver over one pipeline is the
+  single-pool middleware.
 
 Expiry is registered through a pool listener, so *every* pool insert
-(including checkpoint restores, which re-add the pool contents) lands
-in the expiry heap; streams of immortal contexts pay O(1) per arrival.
+lands in the expiry heap; streams of immortal contexts pay O(1) per arrival.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class _ExpiryListener:
     """Pool listener feeding the pipeline's expiry heap.
 
     Registered on the pool at pipeline construction, so direct pool
-    inserts (tests, checkpoint restores) schedule expiry too -- the
+    inserts (tests) schedule expiry too -- the
     heap can never miss a context the pool holds.
     """
 
@@ -136,8 +135,8 @@ class ResolutionPipeline:
         self.pool.add_listener(_ExpiryListener(self))
         if hasattr(detector, "attach_pool"):
             # Constraint checkers maintain persistent candidate indexes
-            # through pool listeners (see constraints.index); restores
-            # that re-add pool contents rebuild them, like the heap.
+            # through pool listeners (see constraints.index), like the
+            # heap.
             detector.attach_pool(self.pool)
         #: Use scheduler shared with the driving loop; bound by
         #: :class:`PipelineDriver`.  Victims and expired contexts are

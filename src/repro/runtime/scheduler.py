@@ -27,7 +27,7 @@ micro-benchmark next to the pool guard).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from ..core.context import Context
 
@@ -187,29 +187,6 @@ class UseScheduler:
     def queue_slots(self) -> int:
         """Deque slots held, tombstones included (compaction tests)."""
         return len(self._queue)
-
-    # -- checkpointing --------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-data picklable state (live entries only)."""
-        entries: List[Tuple[Context, object, int, float]] = [
-            (e.ctx, e.payload, e.arrival_index, e.arrived_at)
-            for e in self._queue
-            if not e.discarded
-        ]
-        return {"arrivals": self.arrivals, "entries": entries}
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`snapshot`; window parameters are not part of
-        the state (they live in the spec that rebuilt this scheduler)."""
-        self.arrivals = state["arrivals"]  # type: ignore[assignment]
-        self._queue.clear()
-        self._by_id.clear()
-        self._tombstones = 0
-        for ctx, payload, arrival_index, arrived_at in state["entries"]:  # type: ignore[union-attr]
-            entry = ScheduledUse(ctx, payload, arrival_index, arrived_at)
-            self._queue.append(entry)
-            self._by_id[ctx.ctx_id] = entry
 
 
 class BoundedIdSet:

@@ -296,44 +296,3 @@ class SnapshotIngress:
             "watermark": self.watermark,
             "cursor": self._cursor,
         }
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-data picklable state (shard checkpoint payload)."""
-        return {
-            "heap": list(self._heap),
-            "seq": self._seq,
-            "max_ts": self._max_ts,
-            "cursor": self._cursor,
-            "seen": list(self._seen._order),
-            "released": self.released,
-            "stale": self.stale,
-            "duplicates": self.duplicates,
-            "forced": self.forced,
-            "arrivals": self._arrivals,
-            "source_max": dict(self._source_max),
-            "source_seen_at": dict(self._source_seen_at),
-            "evicted_sources": self.evicted_sources,
-        }
-
-    def restore(self, state: Mapping[str, object]) -> None:
-        """Adopt a :meth:`snapshot` (configuration lives in the spec)."""
-        self._heap = list(state["heap"])  # type: ignore[arg-type]
-        heapq.heapify(self._heap)
-        self._seq = state["seq"]  # type: ignore[assignment]
-        self._max_ts = state["max_ts"]  # type: ignore[assignment]
-        self._cursor = state["cursor"]  # type: ignore[assignment]
-        self._seen = BoundedIdSet(maxlen=self.config.dedup_window)
-        for ctx_id in state["seen"]:  # type: ignore[union-attr]
-            self._seen.add(ctx_id)
-        self.released = state["released"]  # type: ignore[assignment]
-        self.stale = state["stale"]  # type: ignore[assignment]
-        self.duplicates = state["duplicates"]  # type: ignore[assignment]
-        self.forced = state["forced"]  # type: ignore[assignment]
-        # Per-source keys postdate the first checkpoint format; default
-        # to empty so old checkpoints keep restoring.
-        self._arrivals = state.get("arrivals", 0)  # type: ignore[assignment]
-        self._source_max = dict(state.get("source_max", {}))  # type: ignore[arg-type]
-        self._source_seen_at = dict(state.get("source_seen_at", {}))  # type: ignore[arg-type]
-        self.evicted_sources = state.get("evicted_sources", 0)  # type: ignore[assignment]

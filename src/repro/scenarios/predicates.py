@@ -6,9 +6,9 @@ The legacy applications extend the standard registry with hand-written
 closures (floor plans, reader graphs); declarative packs instead
 describe each extra predicate as a :class:`PredicateSpec` -- a *kind*
 plus plain-data parameters -- and the spec compiles itself into the
-equivalent closure at checker-build time.  Everything stays picklable
-plain data until then, which is what lets a pack travel to process-mode
-engine shards and into TOML/JSON documents.
+equivalent closure at checker-build time.  Everything stays plain
+data until then, which is what lets a pack travel into TOML/JSON
+documents.
 """
 
 from __future__ import annotations

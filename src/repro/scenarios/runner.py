@@ -2,7 +2,7 @@
 
 One :meth:`PackRunner.run` plays one generated stream under one
 strategy on one *host* -- the event-driven ``middleware`` or the
-sharded engine in ``inline`` / ``local`` / ``process`` mode -- and
+sharded ``inline`` engine -- and
 returns the paper's Figure 9/10 counters (:class:`GroupMetrics`)
 together with the Livshits-style inconsistency measures of both the
 raw stream and the delivered stream.  The delivered-stream measures
@@ -42,8 +42,8 @@ from .spec import ScenarioPack
 __all__ = ["HOSTS", "PackRunResult", "PackRunner", "rank_strategies"]
 
 #: Where a pack run can execute: the event-driven middleware or the
-#: sharded engine in each of its modes.
-HOSTS: Tuple[str, ...] = ("middleware", "inline", "local", "process")
+#: sharded engine.
+HOSTS: Tuple[str, ...] = ("middleware", "inline")
 
 
 def decision_signature(
@@ -177,7 +177,6 @@ class PackRunner:
                     seed=run_seed,
                     window=window,
                     kernels=kernels,
-                    mode=host,
                     ledger_path=ledger_path,
                     async_check=async_check,
                 )
@@ -299,7 +298,6 @@ class PackRunner:
         seed: int,
         window: int,
         kernels: bool,
-        mode: str,
         ledger_path: Optional[str],
         async_check,
     ):
@@ -311,7 +309,6 @@ class PackRunner:
             registry_factory=pack.build_registry,
             config=EngineConfig(
                 shards=self.shards,
-                mode=mode,
                 use_window=window,
                 kernels=kernels,
                 ledger_path=ledger_path,

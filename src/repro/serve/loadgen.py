@@ -66,8 +66,6 @@ def build_app_engine(
 ):
     """A :class:`~repro.engine.facade.ShardedEngine` for one app.
 
-    Inline mode: the front-door's pump feeds an in-process stream, so
-    worker processes would only add serialization overhead here.
     ``ledger_path`` records the session's decision ledger (live, via
     the open stream's recorder).  ``async_check`` (an
     :class:`~repro.runtime.snapshot.AsyncCheckConfig`) puts the
@@ -85,7 +83,6 @@ def build_app_engine(
     checker = app.build_checker()
     config = EngineConfig(
         shards=shards,
-        mode="inline",
         use_window=use_window if use_window is not None else default_window,
         ledger_path=ledger_path,
         ledger_fsync=ledger_fsync,

@@ -5,11 +5,8 @@ and -- crucially -- which it refuses to extract because they would be
 unsound) and the dynamic side: persistent :class:`CandidateIndex`
 consistency across pool add/remove/expire, the per-call
 :class:`EphemeralScopeIndex`, the checker's routing table and pool
-attachment, and a shard checkpoint/restore round-trip with a live
-index.
+attachment.
 """
-
-import pickle
 
 from repro.constraints.ast import And, Implies, Not, Or, pred
 from repro.constraints.checker import ConstraintChecker
@@ -20,7 +17,6 @@ from repro.constraints.index import (
 )
 from repro.constraints.parser import parse_constraint
 from repro.core.context import Context
-from repro.engine.shard import ShardExecutionState, ShardSpec
 from repro.middleware.pool import ContextPool
 
 VARS = [("a", "location"), ("b", "location"), ("c", "location")]
@@ -322,54 +318,3 @@ class TestCheckerPoolAttachment:
         assert [inc.contexts for inc in found] == [
             inc.contexts for inc in plain
         ]
-
-
-class TestShardCheckpointRoundTrip:
-    def test_restore_rebuilds_live_index_and_decisions_match(self):
-        spec = ShardSpec(shard_id=0, constraints=(_velocity_constraint(),))
-        stream = [
-            _ctx(i, subject="pq"[i % 2], lifespan=30.0) for i in range(20)
-        ]
-        stream[13] = Context(
-            ctx_id=stream[13].ctx_id,
-            ctx_type="location",
-            subject="p",
-            value=(500.0, 0.0),
-            timestamp=stream[13].timestamp,
-            lifespan=30.0,
-        )
-        batches = [stream[i : i + 4] for i in range(0, len(stream), 4)]
-
-        # Uninterrupted reference run.
-        reference = ShardExecutionState(spec)
-        for i, batch in enumerate(batches):
-            reference.process_batch(i, batch)
-        expected = reference.finish()
-
-        # Interrupted run: checkpoint mid-stream, pickle it (as the
-        # supervisor's ack queue does), restore into a fresh state.
-        first = ShardExecutionState(spec)
-        for i, batch in enumerate(batches[:3]):
-            first.process_batch(i, batch)
-        blob = pickle.dumps(first.checkpoint())
-        resumed = ShardExecutionState(spec, checkpoint=pickle.loads(blob))
-
-        index = resumed.pipeline.resolution.detector.pool_index
-        assert index is not None
-        _assert_index_matches(index, resumed.pipeline.pool.contents())
-
-        for i, batch in enumerate(batches):
-            resumed.process_batch(i, batch)  # replayed prefix is a no-op
-        result = resumed.finish()
-
-        assert [c.ctx_id for c in result.delivered] == [
-            c.ctx_id for c in expected.delivered
-        ]
-        assert [c.ctx_id for c in result.discarded] == [
-            c.ctx_id for c in expected.discarded
-        ]
-        assert result.stats["inconsistencies"] == expected.stats[
-            "inconsistencies"
-        ]
-        assert result.stats["inconsistencies"] > 0
-        _assert_index_matches(index, resumed.pipeline.pool.contents())

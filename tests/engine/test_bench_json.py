@@ -1,28 +1,37 @@
-"""Scalability smoke test: real measured numbers into BENCH_engine.json.
+"""Scalability smoke test: the sharding mechanism and the bench record.
 
-The full-scale benchmark lives in ``benchmarks/test_bench_engine.py``
-(and asserts the >= 2x acceptance threshold at 4 shards); this tier-1
-smoke keeps the machinery honest on every test run with a smaller
-stream and a deliberately loose threshold so timing noise on a loaded
-machine cannot flake the suite.
+Sharding pays because each arrival is checked against a smaller pool:
+only its own shard's.  This tier-1 test checks that mechanism
+deterministically -- the summed per-arrival pool size -- instead of a
+wall-clock ratio, which flaked on loaded machines.  Timing lives in
+``benchmarks/perf``.
 """
 
 import json
-import pathlib
 
-from repro.engine import write_bench_json
-from repro.engine.workload import run_scalability_bench
+from repro.engine import EngineConfig, ShardedEngine, write_bench_json
+from repro.engine.workload import run_scalability_bench, scalability_workload
 
-OUT_PATH = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks"
-    / "out"
-    / "BENCH_engine.json"
-)
+
+def summed_arrival_pool_sizes(shards, n_contexts=800):
+    """Sum, over the stream, of the pool size of each arrival's shard
+    at the moment it arrives."""
+    constraints, contexts = scalability_workload(n_contexts)
+    engine = ShardedEngine(
+        constraints,
+        config=EngineConfig(shards=shards, use_window=20, batch_kernels=False),
+    )
+    stream = engine.open_stream()
+    total = 0
+    for ctx in contexts:
+        total += len(stream.pipelines[engine.router.shard_for(ctx)].pool)
+        stream.submit([ctx])
+    stream.close()
+    return total
 
 
 class TestScalabilityBench:
-    def test_sharding_speeds_up_and_records_json(self):
+    def test_sharding_speeds_up_and_records_json(self, tmp_path):
         # batch_kernels off: the sharding speedup is measured on the
         # per-context detection path whose pool-scan cost sharding
         # removes -- columnar batched detection attacks the same cost,
@@ -37,13 +46,15 @@ class TestScalabilityBench:
             assert row["contexts_per_second"] > 0
             assert row["delivered"] + row["discarded"] <= 800
         # Decision identity across shard counts is asserted inside
-        # run_scalability_bench; here we only require the speedup to
-        # point the right way (the full benchmark enforces >= 2x).
-        assert record["speedup"]["4_shards_vs_1"] >= 1.3
+        # run_scalability_bench.  The workload has 4 equal scope groups
+        # and nothing in it expires, so 4 shards see about a quarter of
+        # the single pool at every arrival.
+        assert summed_arrival_pool_sizes(4) <= 0.30 * summed_arrival_pool_sizes(1)
 
-        document = write_bench_json(OUT_PATH, "engine_scalability_smoke", record)
+        out_path = tmp_path / "BENCH_engine.json"
+        document = write_bench_json(out_path, "engine_scalability_smoke", record)
         assert "engine_scalability_smoke" in document
-        reread = json.loads(OUT_PATH.read_text(encoding="utf-8"))
+        reread = json.loads(out_path.read_text(encoding="utf-8"))
         assert (
             reread["engine_scalability_smoke"]["speedup"]["4_shards_vs_1"]
             == record["speedup"]["4_shards_vs_1"]

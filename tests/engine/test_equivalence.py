@@ -88,14 +88,13 @@ def reference_decisions(constraints, strategy_name, stream, *, use_window,
     return delivered, discarded
 
 
-def engine_decisions(constraints, strategy_name, stream, *, shards, mode,
+def engine_decisions(constraints, strategy_name, stream, *, shards,
                      use_window, use_delay):
     engine = ShardedEngine(
         constraints,
         strategy=strategy_name,
         config=EngineConfig(
             shards=shards,
-            mode=mode,
             use_window=use_window,
             use_delay=use_delay,
         ),
@@ -104,7 +103,7 @@ def engine_decisions(constraints, strategy_name, stream, *, shards, mode,
     return result.delivered_ids, result.discarded_ids
 
 
-def run_trial(seed, *, shards=2, mode="inline", n=40):
+def run_trial(seed, *, shards=2, n=40):
     rng = random.Random(seed)
     constraints = make_constraints(rng)
     stream = make_stream(rng, n=n)
@@ -119,7 +118,7 @@ def run_trial(seed, *, shards=2, mode="inline", n=40):
     )
     actual = engine_decisions(
         constraints, strategy_name, stream,
-        shards=shards, mode=mode,
+        shards=shards,
         use_window=use_window, use_delay=use_delay,
     )
     assert actual == expected, (
@@ -130,7 +129,7 @@ def run_trial(seed, *, shards=2, mode="inline", n=40):
 
 
 class TestInlineEquivalence:
-    """Inline mode is pointwise decision-identical for both window kinds."""
+    """The engine is pointwise decision-identical for both window kinds."""
 
     @pytest.mark.parametrize("block", range(10))
     def test_random_streams(self, block):
@@ -147,57 +146,6 @@ class TestInlineEquivalence:
     def test_larger_streams(self):
         for seed in (101, 202):
             run_trial(seed, shards=4, n=120)
-
-
-class TestLocalModeEquivalence:
-    """Shard-local time windows decompose exactly on sorted streams.
-
-    Restricted to non-expiring contexts: the shard-local clock only
-    advances on shard arrivals, so when a context can expire *between*
-    a pending use's due time and the shard's next arrival, the single
-    pool (whose clock every arrival advances) may expire it before the
-    use drains while the shard drains the use first.  With no expiry
-    the shard's state sequence is identical either way -- documented in
-    docs/engine.md as the local/process-mode window semantics.
-    """
-
-    def test_time_window_decisions_match_as_sets(self):
-        for seed in range(0, 40, 2):
-            rng = random.Random(seed)
-            constraints = make_constraints(rng)
-            stream = make_stream(rng, lifespans=(float("inf"),))
-            strategy_name = STRATEGIES[seed % len(STRATEGIES)]
-            delay = rng.choice((0.0, 2.0, 6.0))
-            expected = reference_decisions(
-                constraints, strategy_name, stream,
-                use_window=4, use_delay=delay,
-            )
-            actual = engine_decisions(
-                constraints, strategy_name, stream,
-                shards=2, mode="local", use_window=4, use_delay=delay,
-            )
-            # Cross-shard interleaving differs from the single pool's
-            # use order, but the decision *sets* must coincide.
-            assert sorted(actual[0]) == sorted(expected[0])
-            assert sorted(actual[1]) == sorted(expected[1])
-
-
-class TestProcessModeEquivalence:
-    def test_process_mode_matches_local_decomposition(self):
-        rng = random.Random(7)
-        constraints = make_constraints(rng)
-        stream = make_stream(rng, n=60)
-        local = engine_decisions(
-            constraints, "drop-latest", stream,
-            shards=2, mode="local", use_window=4, use_delay=3.0,
-        )
-        process = engine_decisions(
-            constraints, "drop-latest", stream,
-            shards=2, mode="process", use_window=4, use_delay=3.0,
-        )
-        # Same decomposition, different executor: results must be
-        # identical event-for-event, not just as sets.
-        assert process == local
 
 
 @settings(
@@ -229,7 +177,7 @@ def test_equivalence_property(seed, shards, strategy_name, window):
     )
     actual = engine_decisions(
         constraints, strategy_name, stream,
-        shards=shards, mode="inline",
+        shards=shards,
         use_window=use_window, use_delay=use_delay,
     )
     assert actual == expected
@@ -254,7 +202,6 @@ class TestBatchKernelToggle:
             strategy=strategy_name,
             config=EngineConfig(
                 shards=2,
-                mode="inline",
                 use_window=use_window,
                 use_delay=use_delay,
                 batch_kernels=batch_kernels,

@@ -1,4 +1,4 @@
-"""Facade-level tests: modes, events, metrics, config validation."""
+"""Facade-level tests: events, metrics, config validation."""
 
 import pytest
 
@@ -20,7 +20,6 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.shards == 4
         assert config.mode == "inline"
-        assert config.batch_size == 64
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -29,25 +28,32 @@ class TestEngineConfig:
             {"mode": "turbo"},
             {"use_window": -1},
             {"use_delay": -0.5},
-            {"batch_size": 0},
-            {"max_queue_batches": 0},
+            {"mode": "local"},
+            {"mode": "process"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
+    @pytest.mark.parametrize("mode", ["local", "process"])
+    def test_removed_modes_name_the_removal(self, mode):
+        with pytest.raises(ValueError, match=f"mode '{mode}' was removed"):
+            EngineConfig(mode=mode)
+
+    def test_inline_mode_still_constructs(self):
+        assert EngineConfig(mode="inline").mode == "inline"
+
     def test_with_shards(self):
         assert EngineConfig(shards=2).with_shards(8).shards == 8
 
 
 class TestShardedEngineModes:
-    @pytest.mark.parametrize("mode", ["inline", "local", "process"])
-    def test_all_modes_resolve_the_stream(self, mode):
+    def test_run_resolves_the_stream(self):
         constraints, stream = small_workload()
         engine = ShardedEngine(
             constraints,
-            config=EngineConfig(shards=2, mode=mode, use_window=5),
+            config=EngineConfig(shards=2, use_window=5),
         )
         result = engine.run(stream)
         assert result.metrics.contexts_total == len(stream)
@@ -58,18 +64,16 @@ class TestShardedEngineModes:
     def test_inline_streams_events_live_on_engine_bus(self):
         constraints, stream = small_workload(40)
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="inline")
+            constraints, config=EngineConfig(shards=2)
         )
         admitted = []
         engine.bus.subscribe(ContextAdmitted, admitted.append)
         engine.run(stream)
         assert admitted  # live events, not post-hoc replay
 
-    def test_merged_events_republished_in_timestamp_order(self):
+    def test_result_events_are_the_bus_stream_in_time_order(self):
         constraints, stream = small_workload(60)
-        engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="local")
-        )
+        engine = ShardedEngine(constraints, config=EngineConfig(shards=2))
         seen = []
         engine.bus.subscribe(Event, seen.append)
         result = engine.run(stream)
@@ -80,7 +84,7 @@ class TestShardedEngineModes:
     def test_per_shard_stats_cover_all_constraints(self):
         constraints, stream = small_workload()
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="inline")
+            constraints, config=EngineConfig(shards=2)
         )
         result = engine.run(stream)
         assert sum(s.constraints for s in result.metrics.per_shard) == len(
@@ -91,7 +95,7 @@ class TestShardedEngineModes:
     def test_delivered_events_match_delivered_list(self):
         constraints, stream = small_workload(80)
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="inline")
+            constraints, config=EngineConfig(shards=2)
         )
         result = engine.run(stream)
         from_events = [
@@ -104,7 +108,7 @@ class TestShardedEngineModes:
     def test_single_shard_engine_works(self):
         constraints, stream = small_workload(50)
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=1, mode="inline")
+            constraints, config=EngineConfig(shards=1)
         )
         result = engine.run(stream)
         assert result.metrics.contexts_total == 50
@@ -112,15 +116,24 @@ class TestShardedEngineModes:
     def test_engine_consumes_lazy_iterables(self):
         constraints, stream = small_workload(40)
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="inline")
+            constraints, config=EngineConfig(shards=2)
         )
         result = engine.run(iter(stream))
         assert result.metrics.contexts_total == 40
 
+    def test_rerun_leaves_earlier_result_untouched(self):
+        constraints, stream = small_workload(30)
+        engine = ShardedEngine(constraints, config=EngineConfig(shards=2))
+        first = engine.run(stream)
+        events = list(first.events)
+        second = engine.run(stream)
+        assert first.events == events
+        assert len(second.events) == len(events)
+
     def test_rerun_resets_router_counts(self):
         constraints, stream = small_workload(30)
         engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2, mode="inline")
+            constraints, config=EngineConfig(shards=2)
         )
         engine.run(stream)
         engine.run(stream)

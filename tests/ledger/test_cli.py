@@ -95,7 +95,7 @@ class TestLedgerCommands:
         path, _ = recorded
         same = tmp_path / "same.jsonl"
         code, _ = run_cli(
-            "engine", "run", "rfid", "--shards", "4", "--mode", "local",
+            "engine", "run", "rfid", "--shards", "4",
             "--ledger", str(same),
         )
         assert code == 0

@@ -53,11 +53,12 @@ def app_engine(app_key="rfid", *, constraints=None, strategy=None, **config):
         _streams.app_inputs(app_key)
     )
     config.setdefault("use_window", use_window)
+    config.setdefault("shards", 2)
     return ShardedEngine(
         constraints if constraints is not None else base_constraints,
         strategy=strategy or base_strategy,
         registry_factory=registry_factory,
-        config=EngineConfig(shards=2, **config),
+        config=EngineConfig(**config),
     )
 
 
@@ -89,8 +90,8 @@ class TestRulesetHash:
         # makes their ledgers diffable.
         base = app_engine()
         assert app_engine(kernels=False).ruleset_hash == base.ruleset_hash
-        assert app_engine(mode="local").ruleset_hash == base.ruleset_hash
-        assert base.ruleset_hash == app_engine().ruleset_hash
+        assert app_engine(mode="inline").ruleset_hash == base.ruleset_hash
+        assert app_engine(shards=5).ruleset_hash == base.ruleset_hash
 
     def test_constraint_order_insensitive(self):
         constraints, _, _, _, _ = _streams.app_inputs("rfid")

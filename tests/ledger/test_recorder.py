@@ -1,23 +1,21 @@
-"""Event recording and deterministic segment merging.
+"""Event recording and shard attribution.
 
 Every host publishes the same lifecycle vocabulary, so the recorder
 must produce equivalent ledgers wherever it listens: the middleware's
-plug-in, the inline engine's post-hoc conversion, and the per-shard
-segments of local/process runs merged back into global order.
+plug-in and the engine's post-hoc conversion.
 """
 
 import pytest
 
 from repro.constraints.checker import ConstraintChecker
 from repro.core.strategy import make_strategy
-from repro.engine import EngineConfig, ShardedEngine
+from repro.engine import EngineConfig, ShardedEngine, scalability_workload
 from repro.ledger import (
     LedgerRecorder,
     LedgerService,
     diff_ledgers,
     entries_from_events,
     ledger_signature,
-    merge_segments,
     read_ledger,
     verify_ledger,
 )
@@ -33,16 +31,15 @@ def app_case():
     return _streams.app_inputs(APP)
 
 
-def engine_ledger(app_case, tmp_path, *, mode, shards=_streams.APP_SHARDS):
+def engine_ledger(app_case, tmp_path, *, shards=_streams.APP_SHARDS):
     constraints, registry_factory, stream, strategy, use_window = app_case
-    path = tmp_path / f"{mode}.jsonl"
+    path = tmp_path / "engine.jsonl"
     engine = ShardedEngine(
         constraints,
         strategy=strategy,
         registry_factory=registry_factory,
         config=EngineConfig(
             shards=shards,
-            mode=mode,
             use_window=use_window,
             ledger_path=str(path),
         ),
@@ -71,20 +68,19 @@ class TestHostEquivalence:
         self, app_case, tmp_path
     ):
         mw_entries = middleware_ledger(app_case, tmp_path)
-        for mode in ("inline", "local", "process"):
-            entries, result = engine_ledger(app_case, tmp_path, mode=mode)
-            assert verify_ledger(entries).ok
-            diff = diff_ledgers(mw_entries, entries)
-            assert diff["same_ruleset"], mode
-            assert diff["identical"], (mode, diff)
-            # The ledger signature IS the run's decision signature.
-            assert ledger_signature(entries) == result.decision_signature()
+        entries, result = engine_ledger(app_case, tmp_path)
+        assert verify_ledger(entries).ok
+        diff = diff_ledgers(mw_entries, entries)
+        assert diff["same_ruleset"]
+        assert diff["identical"], diff
+        # The ledger signature IS the run's decision signature.
+        assert ledger_signature(entries) == result.decision_signature()
 
     def test_every_host_emits_one_entry_per_lifecycle_event(
         self, app_case, tmp_path
     ):
         stream = app_case[2]
-        entries, result = engine_ledger(app_case, tmp_path, mode="inline")
+        entries, _ = engine_ledger(app_case, tmp_path)
         arrivals = [e for e in entries if e["kind"] == "arrival"]
         assert len(arrivals) == len(stream)
         terminal = [
@@ -95,45 +91,41 @@ class TestHostEquivalence:
 
 
 class TestShardAttribution:
-    def test_local_segments_merge_to_inline_order(self, app_case, tmp_path):
-        inline, _ = engine_ledger(app_case, tmp_path, mode="inline")
-        local, _ = engine_ledger(app_case, tmp_path, mode="local")
-        # Same decision stream AND same shard attribution per context:
-        # the inline recorder asks the router, the local path pins each
-        # worker's own shard id -- they must agree.
-        def key(entries):
-            return [
-                (e["kind"], e.get("ctx_id"), e["shard"])
-                for e in entries[1:]
-                if e["kind"] in ("arrival", "deliver", "discard")
-            ]
-
-        assert key(inline) == key(local)
-
-    def test_merge_segments_is_the_event_merge_order(self):
-        segments = [
-            [
-                {"at": 1.0, "shard": 0, "kind": "admit", "ctx_id": "a"},
-                {"at": 3.0, "shard": 0, "kind": "deliver", "ctx_id": "a"},
-            ],
-            [
-                {"at": 1.0, "shard": 1, "kind": "admit", "ctx_id": "b"},
-                {"at": 2.0, "shard": 1, "kind": "deliver", "ctx_id": "b"},
-            ],
-        ]
-        merged = merge_segments(segments)
-        assert [(e["at"], e["shard"]) for e in merged] == [
-            (1.0, 0),
-            (1.0, 1),
-            (2.0, 1),
-            (3.0, 0),
-        ]
+    def test_entries_carry_the_router_shard(self, tmp_path):
+        """Every arrival is attributed to the shard the router sent it
+        to, and a context's verdicts stay on its arrival's shard."""
+        constraints, stream = scalability_workload(200)
+        path = tmp_path / "sharded.jsonl"
+        engine = ShardedEngine(
+            constraints,
+            config=EngineConfig(shards=4, ledger_path=str(path)),
+        )
+        engine.run(stream)
+        want = {ctx.ctx_id: engine.router.shard_for(ctx) for ctx in stream}
+        seen = set()
+        for entry in read_ledger(str(path))[1:]:
+            if entry["kind"] == "arrival":
+                ctx_id = entry["ctx"]["ctx_id"]
+            elif entry["kind"] in ("deliver", "discard"):
+                ctx_id = entry["ctx_id"]
+            else:
+                continue
+            assert entry["shard"] == want[ctx_id], entry
+            seen.add(entry["shard"])
+        assert seen == {0, 1, 2, 3}
 
 
 class TestRecorderApi:
-    def test_entries_from_events_rejects_both_shard_args(self):
-        with pytest.raises(ValueError):
-            entries_from_events([], shard_id=0, shard_of=lambda ctx: 0)
+    def test_entries_from_events_defaults_to_shard_zero(self, app_case):
+        constraints, registry_factory, stream, strategy, use_window = app_case
+        engine = ShardedEngine(
+            constraints,
+            strategy=strategy,
+            registry_factory=registry_factory,
+            config=EngineConfig(shards=1, use_window=use_window),
+        )
+        entries = entries_from_events(engine.run(stream[:20]).events)
+        assert entries and {e["shard"] for e in entries} == {0}
 
     def test_attach_twice_raises(self):
         from repro.middleware.bus import EventBus
@@ -151,7 +143,7 @@ class TestRecorderApi:
     def test_discard_why_names_the_implicating_constraints(
         self, app_case, tmp_path
     ):
-        entries, _ = engine_ledger(app_case, tmp_path, mode="inline")
+        entries, _ = engine_ledger(app_case, tmp_path)
         constraint_names = {
             c["name"] for c in entries[0]["ruleset"]["constraints"]
         }

@@ -1,7 +1,7 @@
 """Replay acceptance matrix: ledger + ruleset => byte-identical decisions.
 
 For each application stream, each recording host (middleware plug-in;
-engine inline / local / process) and both kernel settings, the written
+engine) and both kernel settings, the written
 ledger must verify and replay to the exact recorded
 ``decision_signature`` -- using nothing but the file.
 """
@@ -13,6 +13,7 @@ from repro.core.strategy import make_strategy
 from repro.engine import EngineConfig, ShardedEngine
 from repro.ledger import (
     LedgerService,
+    LedgerWriter,
     read_ledger,
     replay_ledger,
     verify_ledger,
@@ -23,14 +24,10 @@ from tests.runtime import _streams
 
 APP_KEYS = tuple(case[0] for case in _streams.APP_CASES)
 
-ENGINE_RUNS = [
-    (mode, kernels)
-    for mode in ("inline", "local", "process")
-    for kernels in (True, False)
-]
+ENGINE_RUNS = [("inline", kernels) for kernels in (True, False)]
 
 
-def record_engine(app_key, path, *, mode, kernels):
+def record_engine(app_key, path, *, kernels):
     constraints, registry_factory, stream, strategy, use_window = (
         _streams.app_inputs(app_key)
     )
@@ -40,7 +37,6 @@ def record_engine(app_key, path, *, mode, kernels):
         registry_factory=registry_factory,
         config=EngineConfig(
             shards=_streams.APP_SHARDS,
-            mode=mode,
             use_window=use_window,
             kernels=kernels,
             ledger_path=str(path),
@@ -68,7 +64,7 @@ class TestEngineReplayMatrix:
     @pytest.mark.parametrize("mode,kernels", ENGINE_RUNS)
     def test_replay_is_byte_identical(self, app_key, mode, kernels, tmp_path):
         path = tmp_path / "run.jsonl"
-        result = record_engine(app_key, path, mode=mode, kernels=kernels)
+        result = record_engine(app_key, path, kernels=kernels)
         check = verify_ledger(str(path))
         assert check.ok, check.summary()
         replay = replay_ledger(str(path))
@@ -86,10 +82,35 @@ class TestMiddlewareReplay:
         assert replay.ok, replay.summary()
 
 
+class TestOlderLedgers:
+    def test_process_mode_header_still_verifies_and_replays(self, tmp_path):
+        """Ledgers recorded by builds that still had the process mode
+        carry ``meta.mode == "process"``; they stay auditable."""
+        source = tmp_path / "inline.jsonl"
+        result = record_engine("rfid", source, kernels=True)
+        header, *body = read_ledger(str(source))
+        path = tmp_path / "process.jsonl"
+        with LedgerWriter(
+            str(path),
+            header["ruleset"],
+            meta={**header["meta"], "mode": "process"},
+        ) as writer:
+            for entry in body:
+                writer.append(
+                    {k: v for k, v in entry.items() if k not in ("seq", "h")}
+                )
+        assert read_ledger(str(path))[0]["meta"]["mode"] == "process"
+        check = verify_ledger(str(path))
+        assert check.ok, check.summary()
+        replay = replay_ledger(str(path))
+        assert replay.ok, replay.summary()
+        assert replay.replayed == result.decision_signature()
+
+
 class TestReplaySafety:
     def test_refuses_a_tampered_ledger(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        record_engine("rfid", path, mode="inline", kernels=True)
+        record_engine("rfid", path, kernels=True)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace('"kind"', '"kinD"', 1)
         path.write_text("".join(line + "\n" for line in lines))
@@ -99,7 +120,7 @@ class TestReplaySafety:
 
     def test_shard_count_is_outcome_neutral(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        record_engine("rfid", path, mode="inline", kernels=True)
+        record_engine("rfid", path, kernels=True)
         for shards in (1, 2, 5):
             replay = replay_ledger(str(path), shards=shards)
             assert replay.ok, (shards, replay.summary())

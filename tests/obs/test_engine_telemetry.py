@@ -1,14 +1,10 @@
-"""Engine + telemetry integration: merged registries across run modes.
+"""Engine + telemetry integration: one registry for every shard.
 
-The engine's accounting invariant: whatever the execution mode, the
-parent bundle's registry ends up holding the sum of every shard's
-accounting, and ``EngineMetrics.from_registry`` reads the same totals
-the event stream implies.  Worker bundles travel as snapshots over the
-result queues; a worker that died mid-serialization must degrade to a
-warning, not corrupt the merge.
+The engine's accounting invariant: the bundle's registry ends up
+holding the sum of every shard's accounting, and
+``EngineMetrics.from_registry`` reads the same totals the event stream
+implies.
 """
-
-import pytest
 
 from repro.engine import EngineConfig, ShardedEngine
 from repro.engine.metrics import EngineMetrics
@@ -19,22 +15,21 @@ N_CONTEXTS = 240
 SHARDS = 4
 
 
-def run_engine(mode, telemetry):
+def run_engine(telemetry):
     constraints, contexts = scalability_workload(N_CONTEXTS)
     engine = ShardedEngine(
         constraints,
         strategy="drop-latest",
-        config=EngineConfig(shards=SHARDS, mode=mode, use_window=8),
+        config=EngineConfig(shards=SHARDS, use_window=8),
         telemetry=telemetry,
     )
     return engine.run(contexts)
 
 
 class TestMergedRegistries:
-    @pytest.mark.parametrize("mode", ["inline", "local", "process"])
-    def test_parent_registry_sums_shard_accounting(self, mode):
+    def test_registry_sums_shard_accounting(self):
         telemetry = Telemetry(enabled=True)
-        result = run_engine(mode, telemetry)
+        result = run_engine(telemetry)
         registry = telemetry.registry
 
         delivered = sum(
@@ -59,13 +54,11 @@ class TestMergedRegistries:
         assert discarded == result.metrics.discarded_total == len(result.discarded)
         assert routed == N_CONTEXTS
 
-    @pytest.mark.parametrize("mode", ["inline", "local"])
-    def test_stage_histograms_and_span_counts_merge(self, mode):
+    def test_stage_histograms_and_span_counts(self):
         telemetry = Telemetry(enabled=True)
-        result = run_engine(mode, telemetry)
+        result = run_engine(telemetry)
         counts = telemetry.tracer.counts
-        # One deliver span per delivery, one discard span per discard,
-        # whichever threads (or the inline loop) produced them.
+        # One deliver span per delivery, one discard span per discard.
         assert counts.get("stage.deliver", 0) == result.metrics.delivered_total
         assert counts.get("stage.discard", 0) == result.metrics.discarded_total
         from repro.obs.telemetry import STAGE_HISTOGRAM
@@ -77,25 +70,18 @@ class TestMergedRegistries:
 
     def test_from_registry_matches_event_derived_metrics(self):
         telemetry = Telemetry(enabled=True)
-        result = run_engine("inline", telemetry)
-        view = EngineMetrics.from_registry(
-            telemetry.registry, mode="inline", shards=SHARDS
-        )
+        result = run_engine(telemetry)
+        view = EngineMetrics.from_registry(telemetry.registry, shards=SHARDS)
         assert view.delivered_total == result.metrics.delivered_total
         assert view.discarded_total == result.metrics.discarded_total
         assert view.contexts_total == result.metrics.contexts_total
         assert [s.shard_id for s in view.per_shard] == list(range(SHARDS))
 
-    def test_dead_worker_reads_as_zeros_not_corruption(self):
-        # A shard that never flushed (e.g. its worker died) must read
-        # as zeros in the view, and a mangled snapshot must merge to a
-        # warning rather than an exception.
+    def test_unflushed_shard_reads_as_zeros(self):
         telemetry = Telemetry(enabled=True)
-        run_engine("inline", telemetry)
-        telemetry.merge_snapshot({"metrics": {"families": {}, "series": "x"}})
-        telemetry.merge_snapshot("not-a-snapshot")
+        run_engine(telemetry)
         view = EngineMetrics.from_registry(
-            telemetry.registry, mode="inline", shards=SHARDS + 2
+            telemetry.registry, shards=SHARDS + 2
         )
         dead = [s for s in view.per_shard if s.shard_id >= SHARDS]
         assert all(s.contexts == 0 and s.delivered == 0 for s in dead)

@@ -1,6 +1,5 @@
 """Tests for the metrics registry: instruments, snapshots, merging."""
 
-import logging
 import threading
 
 import pytest
@@ -133,55 +132,6 @@ class TestSnapshotMerge:
         snapshot = self._populated().snapshot()
         json.dumps(snapshot)  # must not raise
         assert set(snapshot) == {"families", "series"}
-
-    def test_merge_adds_counters_and_histograms_keeps_gauge_max(self):
-        left = self._populated()
-        right = self._populated()
-        right.gauge("pool_size").set(9)
-        merged = left.merge_snapshot(right.snapshot())
-        assert merged == 3
-        assert left.value("ctx_total", {"shard": "0"}) == 10
-        assert left.value("pool_size") == 9  # max, not sum
-        histogram = left.histogram("lat", buckets=(0.1, 1.0))
-        assert histogram.count == 2
-        assert histogram.counts == [2, 0, 0]
-
-    def test_merge_skips_malformed_entries_with_warning(self, caplog):
-        registry = self._populated()
-        snapshot = self._populated().snapshot()
-        # A worker that died mid-serialization: one entry lacks its
-        # value, another references an unknown family.
-        snapshot["series"].append({"name": "ctx_total", "labels": {}})
-        snapshot["series"].append({"name": "ghost", "value": 1})
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            merged = registry.merge_snapshot(snapshot)
-        assert merged == 3  # the healthy entries still landed
-        assert registry.value("ctx_total", {"shard": "0"}) == 10
-        assert "skipping unmergeable telemetry series" in caplog.text
-
-    def test_merge_rejects_bucket_layout_mismatch(self, caplog):
-        registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
-        foreign = MetricsRegistry()
-        foreign.histogram("lat", buckets=(0.5,)).observe(0.05)
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            merged = registry.merge_snapshot(foreign.snapshot())
-        assert merged == 0
-        assert registry.histogram("lat", buckets=(0.1, 1.0)).count == 1
-
-    def test_merge_tolerates_garbage_documents(self, caplog):
-        registry = MetricsRegistry()
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            assert registry.merge_snapshot(None) == 0
-            assert registry.merge_snapshot("nonsense") == 0
-            assert registry.merge_snapshot({"series": "oops"}) == 0
-        assert registry.families() == []
-
-    def test_merge_live_registry(self):
-        left = self._populated()
-        right = self._populated()
-        assert left.merge(right) == 3
-        assert left.value("ctx_total", {"shard": "0"}) == 10
 
     def test_clear_drops_everything(self):
         registry = self._populated()

@@ -93,22 +93,6 @@ class TestCountersAndSnapshots:
             == 3
         )
 
-    def test_snapshot_merge_round_trip(self):
-        worker = Telemetry(enabled=True)
-        with worker.stage("deliver"):
-            pass
-        worker.count("ctx_total")
-        parent = Telemetry(enabled=True)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.registry.value("ctx_total") == 1
-        assert parent.tracer.counts["stage.deliver"] == 1
-
-    def test_merge_snapshot_tolerates_garbage(self):
-        telemetry = Telemetry(enabled=True)
-        telemetry.merge_snapshot(None)
-        telemetry.merge_snapshot("junk")
-        assert telemetry.registry.families() == []
-
     def test_clear_resets_cached_stage_histograms(self):
         telemetry = Telemetry(enabled=True)
         with telemetry.stage("check"):

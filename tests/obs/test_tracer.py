@@ -104,26 +104,6 @@ class TestExportMerge:
         assert [r.name for r in records] == ["inner", "outer"]
         assert records[1].attrs == {"k": "v"}
 
-    def test_snapshot_merge_adds_counts_and_concatenates_rings(self):
-        parent = SpanTracer()
-        with parent.span("stage.deliver"):
-            pass
-        worker = SpanTracer()
-        with worker.span("stage.deliver"):
-            pass
-        with worker.span("stage.check"):
-            pass
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.counts == {"stage.deliver": 2, "stage.check": 1}
-        assert len(parent.spans()) == 3
-
-    def test_merge_tolerates_garbage(self):
-        tracer = SpanTracer()
-        tracer.merge_snapshot(None)
-        tracer.merge_snapshot("junk")
-        tracer.merge_snapshot({"counts": "oops", "spans": 3})
-        assert tracer.total_spans() == 0
-
     def test_clear(self):
         tracer = SpanTracer()
         with tracer.span("x"):

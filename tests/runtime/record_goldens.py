@@ -6,14 +6,16 @@ Run from the repo root with the PRE-refactor tree checked out::
 
 It captures the seed implementation's decision signatures -- the
 single-pool :class:`Middleware` on 200+ generated streams, and both
-Middleware and the sharded engine (inline/local/process, kernels
-on/off) on the three application streams -- into
-``tests/runtime/goldens/*.json``.  The permanent equivalence suite
+Middleware and the sharded engine (kernels on/off) on the three
+application streams -- into ``tests/runtime/goldens/*.json``.  The
+committed app goldens also hold ``local-*``/``process-*`` rows, recorded
+while the engine still had those execution modes; this script no longer
+produces them, so re-running it drops those rows.  The permanent equivalence suite
 (``test_golden_equivalence.py``) replays the same inputs against the
 refactored tree and requires byte-identical signatures.
 
 The goldens are committed; re-running this script after the refactor
-must be a no-op (that is the whole point).
+must reproduce every row it records (that is the whole point).
 """
 
 from __future__ import annotations
@@ -86,14 +88,13 @@ def record_generated() -> dict:
 
 
 def engine_decisions(constraints, registry_factory, strategy_name, stream, *,
-                     use_window, mode, kernels):
+                     use_window, kernels):
     engine = ShardedEngine(
         constraints,
         strategy=strategy_name,
         registry_factory=registry_factory,
         config=EngineConfig(
             shards=_streams.APP_SHARDS,
-            mode=mode,
             use_window=use_window,
             kernels=kernels,
         ),
@@ -122,24 +123,22 @@ def record_apps() -> dict:
             "discarded": len(discarded),
             "signature": _streams.signature(delivered, discarded),
         }
-        for mode in ("inline", "local", "process"):
-            for kernels in (True, False):
-                delivered, discarded = engine_decisions(
-                    constraints,
-                    registry_factory,
-                    strategy,
-                    stream,
-                    use_window=use_window,
-                    mode=mode,
-                    kernels=kernels,
-                )
-                key = f"{mode}-kernels-{'on' if kernels else 'off'}"
-                entry["runs"][key] = {
-                    "delivered": len(delivered),
-                    "discarded": len(discarded),
-                    "signature": _streams.signature(delivered, discarded),
-                }
-                print(f"  {app_key} {key}: {entry['runs'][key]}")
+        for kernels in (True, False):
+            delivered, discarded = engine_decisions(
+                constraints,
+                registry_factory,
+                strategy,
+                stream,
+                use_window=use_window,
+                kernels=kernels,
+            )
+            key = f"inline-kernels-{'on' if kernels else 'off'}"
+            entry["runs"][key] = {
+                "delivered": len(delivered),
+                "discarded": len(discarded),
+                "signature": _streams.signature(delivered, discarded),
+            }
+            print(f"  {app_key} {key}: {entry['runs'][key]}")
         records[app_key] = entry
     return records
 

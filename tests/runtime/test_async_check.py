@@ -3,8 +3,7 @@
 Three layers:
 
 * unit semantics of :class:`~repro.runtime.snapshot.SnapshotIngress`
-  (watermark releases, stale/duplicate refusals, forced releases,
-  checkpoint round-trip);
+  (watermark releases, stale/duplicate refusals, forced releases);
 * the driver behind the ingress -- a perturbed stream resolves exactly
   like its timestamp-sorted original as long as nothing is refused,
   because the ingress's released stream *is* the sorted stream;
@@ -126,21 +125,6 @@ class TestSnapshotIngress:
         assert stamps == sorted(stamps)
         refused = ingress.stale + ingress.duplicates
         assert len(out) + refused == len(stream)
-
-    def test_snapshot_restore_round_trip(self):
-        config = AsyncCheckConfig(max_lag=5.0)
-        ingress = SnapshotIngress(config)
-        for i, t in enumerate((3.0, 1.0, 9.0)):
-            ingress.offer(ctx(f"c{i}", t))
-        state = ingress.snapshot()
-        clone = SnapshotIngress(config)
-        clone.restore(state)
-        assert clone.stats() == ingress.stats()
-        assert [c.ctx_id for c in clone.flush()] == [
-            c.ctx_id for c in ingress.flush()
-        ]
-        # The dedup memory survives too.
-        assert clone.offer(ctx("c0", 99.0)).dropped == "duplicate"
 
 
 def middleware_run(constraints, stream, *, params, async_check=None):

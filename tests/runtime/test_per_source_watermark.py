@@ -15,8 +15,8 @@ Covered here:
   the global watermark drops every one of its arrivals;
 * the released stream stays timestamp-sorted (the ledger-replay
   invariant) in per-source mode;
-* config document round-trip with the new fields, and checkpoint
-  restore of a pre-per-source snapshot (missing keys default).
+* config document round-trip with the new fields (missing keys
+  default).
 """
 
 from __future__ import annotations
@@ -149,33 +149,3 @@ class TestConfigAndCheckpoint:
     def test_source_idle_arrivals_validated(self):
         with pytest.raises(ValueError):
             AsyncCheckConfig(source_idle_arrivals=0)
-
-    def test_snapshot_round_trip_carries_source_state(self):
-        config = AsyncCheckConfig(max_lag=2.0, per_source=True)
-        ingress = SnapshotIngress(config)
-        ingress.offer(ctx("a0", 1.0, "a"))
-        ingress.offer(ctx("b0", 0.5, "b"))
-        clone = SnapshotIngress(config)
-        clone.restore(ingress.snapshot())
-        assert clone.stats() == ingress.stats()
-        assert clone.watermark == ingress.watermark
-        assert [c.ctx_id for c in clone.flush()] == [
-            c.ctx_id for c in ingress.flush()
-        ]
-
-    def test_restore_of_pre_per_source_checkpoint(self):
-        """Old checkpoints lack the per-source keys; restore defaults
-        them instead of raising."""
-        config = AsyncCheckConfig(max_lag=2.0, per_source=True)
-        donor = SnapshotIngress(config)
-        donor.offer(ctx("a0", 1.0, "a"))
-        state = donor.snapshot()
-        for key in ("arrivals", "source_max", "source_seen_at", "evicted_sources"):
-            del state[key]
-        ingress = SnapshotIngress(config)
-        ingress.restore(state)
-        assert ingress.evicted_sources == 0
-        assert ingress.stats()["tracked_sources"] == 0.0
-        # The restored ingress keeps working in per-source mode.
-        outcome = ingress.offer(ctx("a1", 5.0, "a"))
-        assert outcome.dropped is None

@@ -108,30 +108,6 @@ class TestValidationAndSnapshot:
         with pytest.raises(ValueError):
             UseScheduler(use_delay=-0.5)
 
-    def test_snapshot_restore_round_trip(self):
-        scheduler = UseScheduler(use_window=3)
-        for i in range(5):
-            scheduler.schedule(ctx(f"c{i}"), i, float(i))
-        scheduler.discard("c1")
-        state = scheduler.snapshot()
-
-        clone = UseScheduler(use_window=3)
-        clone.restore(state)
-        assert clone.arrivals == scheduler.arrivals
-        assert [c.ctx_id for c in clone.pending()] == ["c0", "c2", "c3", "c4"]
-        # Window arithmetic survives: c0 was arrival 1 of 5, window 3.
-        entry = clone.pop_due(0.0)
-        assert entry is not None and entry.ctx.ctx_id == "c0"
-        assert entry.payload == 0 and entry.arrived_at == 0.0
-
-    def test_snapshot_excludes_tombstones(self):
-        scheduler = UseScheduler(use_window=3)
-        scheduler.schedule(ctx("a"), 0, 0.0)
-        scheduler.schedule(ctx("b"), 0, 0.0)
-        scheduler.discard("a")
-        entries = scheduler.snapshot()["entries"]
-        assert [e[0].ctx_id for e in entries] == ["b"]
-
 
 class TestScheduledUse:
     def test_slots_hold_bookkeeping(self):

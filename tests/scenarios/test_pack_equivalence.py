@@ -6,8 +6,8 @@ changes NOTHING about their decisions.  Each pack's default
 configuration is exactly the golden suite's recorded case
 (``tests/runtime/_streams.APP_CASES``: err 0.3, seed 5, the small
 stream kwargs), so a default :meth:`PackRunner.run` must hash to the
-recorded signature on the middleware host and on every engine
-mode x kernels combination.
+recorded signature on the middleware host and on the engine host with
+kernels on and off.
 
 A mismatch means the pack layer altered resolution behaviour -- never
 update the goldens to make this pass.
@@ -29,11 +29,7 @@ GOLDEN_DIR = (
 )
 APPS = json.loads((GOLDEN_DIR / "app_streams.json").read_text())
 
-ENGINE_RUNS = [
-    (mode, kernels)
-    for mode in ("inline", "local", "process")
-    for kernels in (True, False)
-]
+ENGINE_RUNS = [("inline", kernels) for kernels in (True, False)]
 
 
 @pytest.fixture(scope="module")

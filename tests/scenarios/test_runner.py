@@ -34,22 +34,16 @@ class TestSingleRun:
         assert a.signature() == b.signature()
 
     def test_engine_hosts_agree_with_middleware(self, runner):
-        """Same stream, same strategy: every host makes the same
-        decisions.  Inline shares the middleware's bus so its signature
-        is byte-identical; local workers flush their end-of-stream
-        window tails shard by shard, so for context types no constraint
-        references (the tiny pack's ``door`` channel) the delivered
-        *order* can interleave differently at the tail.  The decision
-        *content* -- which contexts were delivered and which were
-        discarded, and the discard order -- must still agree exactly.
-        (Every legacy-app golden pins full signature equality across
-        all hosts; their channels are all constraint-referenced.)"""
+        """Same stream, same strategy: the engine host makes the
+        middleware's decisions, byte for byte."""
         want = runner.run("drop-bad", host="middleware")
         inline = runner.run("drop-bad", host="inline")
         assert inline.signature() == want.signature()
-        local = runner.run("drop-bad", host="local")
-        assert set(local.delivered_ids) == set(want.delivered_ids)
-        assert local.discarded_ids == want.discarded_ids
+
+    @pytest.mark.parametrize("host", ["local", "process"])
+    def test_removed_engine_modes_are_not_hosts(self, runner, host):
+        with pytest.raises(ValueError, match="unknown host"):
+            runner.run("drop-bad", host=host)
 
     def test_kernels_toggle_is_decision_neutral(self, runner):
         on = runner.run("drop-bad", host="inline", kernels=True)

@@ -24,10 +24,36 @@ class TestEngineParser:
             build_parser().parse_args(["engine", "run", "unknown-app"])
 
     def test_run_validates_mode(self):
-        with pytest.raises(SystemExit):
+        # --mode is gone: the engine runs inline only.
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
-                ["engine", "run", "rfid", "--mode", "turbo"]
+                ["engine", "run", "rfid", "--mode", "process"]
             )
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["engine", "run", "rfid", "--mode", "local"],
+            ["engine", "bench", "--mode", "process"],
+            ["engine", "run", "rfid", "--batch-size", "8"],
+            ["engine", "run", "rfid", "--max-retries", "2"],
+            ["engine", "run", "rfid", "--batch-timeout", "10"],
+            ["packs", "run", "rfid", "--host", "process"],
+            ["packs", "run", "rfid", "--host", "local"],
+        ],
+    )
+    def test_removed_execution_mode_flags_are_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_packs_run_hosts(self):
+        args = build_parser().parse_args(
+            ["packs", "run", "rfid", "--host", "inline"]
+        )
+        assert args.host == "inline"
 
 
 class TestEngineRun:
@@ -37,17 +63,18 @@ class TestEngineRun:
             "--strategy", "drop-bad",
         )
         assert code == 0
-        assert "4 shard(s) [inline]" in text
+        assert "4 shard(s) in" in text
         assert "delivered" in text and "discarded" in text
         assert "shard 0:" in text and "shard 3:" in text
 
-    def test_local_mode_and_time_window(self):
+    def test_time_window(self):
         code, text = run_cli(
             "engine", "run", "call-forwarding", "--shards", "2",
-            "--mode", "local", "--delay", "5.0",
+            "--delay", "5.0",
         )
         assert code == 0
-        assert "[local]" in text
+        assert "2 shard(s) in" in text
+        assert "delivered" in text and "discarded" in text
 
 
 class TestEngineBench:
@@ -57,6 +84,7 @@ class TestEngineBench:
             "engine", "bench", "--shards", "1", "2",
             "--contexts", "300", "--repeats", "1",
             "--json", str(path),
+            "--telemetry-out", str(tmp_path / "TELEMETRY_engine_bench.json"),
         )
         assert code == 0
         assert "contexts/second by shard count" in text
