@@ -9,14 +9,13 @@ discard on a pure tie.
 
 from conftest import write_report
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.experiments.ablations import run_tiebreak_ablation
 from repro.experiments.report import format_tiebreak_ablation
 
 
 def _run(groups: int):
     return run_tiebreak_ablation(
-        CallForwardingApp(),
+        "call-forwarding",
         err_rate=0.3,
         groups=groups,
         use_window=10,

@@ -9,7 +9,6 @@ the use window grows.
 
 from conftest import write_report
 
-from repro.apps.rfid_anomalies import RFIDAnomaliesApp
 from repro.experiments.ablations import run_window_ablation
 from repro.experiments.report import format_window_ablation
 
@@ -18,7 +17,7 @@ WINDOWS = (0, 2, 5, 10, 20, 40)
 
 def _run(groups: int):
     return run_window_ablation(
-        RFIDAnomaliesApp(),
+        "rfid",
         windows=WINDOWS,
         err_rate=0.3,
         groups=groups,

@@ -9,14 +9,7 @@ survey is on one table, including the discard confusion scores.
 
 from conftest import write_report
 
-from repro.analysis.confusion import confusion_from_log
-from repro.apps.call_forwarding import CallForwardingApp
-from repro.core.strategy import make_strategy
-from repro.experiments.harness import (
-    ComparisonConfig,
-    default_strategy_factory as _instantiate_strategy,
-    run_comparison,
-)
+from repro.experiments.harness import ComparisonConfig, run_comparison
 from repro.experiments.report import STRATEGY_LABELS, format_table
 
 STRATEGIES = (
@@ -38,7 +31,7 @@ def _run(groups: int):
         use_window=10,
         workload_kwargs=(("duration", 300.0),),
     )
-    return run_comparison(CallForwardingApp(), config)
+    return run_comparison("call-forwarding", config)
 
 
 def test_all_strategies_survey(benchmark, bench_groups):

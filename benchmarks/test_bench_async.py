@@ -20,7 +20,6 @@ import pathlib
 
 from conftest import write_report
 
-from repro.apps import SmartPhoneApp
 from repro.engine import write_bench_json
 from repro.experiments.asynchrony import (
     DEFAULT_PERTURBATIONS,
@@ -36,7 +35,7 @@ GROUPS = 3
 def test_async_degradation(benchmark):
     def run():
         return run_asynchrony(
-            SmartPhoneApp(),
+            "smart-phone",
             groups=GROUPS,
             use_window=10,
             max_lag=6.0,

@@ -8,7 +8,6 @@ per application at paper scale (REPRO_BENCH_GROUPS=20).
 
 from conftest import write_report
 
-from repro.apps.rfid_anomalies import RFIDAnomaliesApp
 from repro.experiments.harness import ComparisonConfig, run_comparison
 from repro.experiments.report import format_comparison
 
@@ -19,7 +18,7 @@ def _run(groups: int):
         use_window=20,
         workload_kwargs=(("items", 10),),
     )
-    return run_comparison(RFIDAnomaliesApp(), config)
+    return run_comparison("rfid", config)
 
 
 def test_fig10_rfid_anomalies(benchmark, bench_groups):

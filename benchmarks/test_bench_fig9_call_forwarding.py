@@ -19,7 +19,6 @@ import pathlib
 
 from conftest import write_report
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.experiments.harness import ComparisonConfig, run_comparison
 from repro.experiments.report import format_comparison
 from repro.obs import Telemetry, read_sidecar, stage_histogram_nonempty, write_sidecar
@@ -35,7 +34,7 @@ def _run(groups: int, telemetry: Telemetry):
         use_window=10,
         workload_kwargs=(("duration", 300.0),),
     )
-    return run_comparison(CallForwardingApp(), config, telemetry=telemetry)
+    return run_comparison("call-forwarding", config, telemetry=telemetry)
 
 
 def test_fig9_call_forwarding(benchmark, bench_groups):

@@ -9,10 +9,8 @@ Call Forwarding workload.
 
 from conftest import write_report
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.core.impact_aware import ImpactAwareDropBad, situation_relevance_model
-from repro.core.strategy import make_strategy
-from repro.experiments.harness import run_group
+from repro.experiments.harness import pack_runner
 from repro.experiments.metrics import average_metrics, normalized_rate
 from repro.experiments.report import format_table
 
@@ -32,28 +30,27 @@ def _impact_strategy():
 
 
 def _run(groups: int):
-    app = CallForwardingApp()
+    runner = pack_runner("call-forwarding", workload_kwargs={"duration": 300.0})
     streams = [
-        app.generate_workload(ERR_RATE, seed=600 + g, duration=300.0)
-        for g in range(groups)
+        runner.pack.generate_workload(ERR_RATE, 600 + g) for g in range(groups)
     ]
     variants = {
-        "opt-r": lambda: make_strategy("opt-r"),
-        "drop-bad": lambda: make_strategy("drop-bad"),
+        "opt-r": lambda: "opt-r",
+        "drop-bad": lambda: "drop-bad",
         "drop-bad-impact": _impact_strategy,
     }
     averaged = {}
     for name, factory in variants.items():
         averaged[name] = average_metrics(
             [
-                run_group(
-                    app,
+                runner.run(
                     factory(),
-                    stream,
                     err_rate=ERR_RATE,
                     seed=600 + g,
                     use_window=10,
-                )
+                    stream=stream,
+                    measures=False,
+                ).metrics
                 for g, stream in enumerate(streams)
             ]
         )

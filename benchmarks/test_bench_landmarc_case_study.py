@@ -8,7 +8,7 @@ deployment, averaged over several seeds.
 
 from conftest import write_report
 
-from repro.experiments.case_study import CaseStudyConfig, run_case_study
+from repro.experiments.case_study import run_case_study
 from repro.experiments.report import format_case_study, format_table
 
 SEEDS = (3, 7, 11, 19, 23)

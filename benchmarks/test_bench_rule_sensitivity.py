@@ -11,14 +11,13 @@ rule-satisfaction -> resolution-quality relationship.
 
 from conftest import write_report
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.experiments.report import format_rule_sensitivity
 from repro.experiments.rules_sweep import run_rule_sensitivity
 
 
 def _run(groups: int):
     return run_rule_sensitivity(
-        CallForwardingApp(),
+        "call-forwarding",
         groups=groups,
         use_window=10,
         workload_kwargs={"duration": 300.0},

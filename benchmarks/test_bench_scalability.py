@@ -11,15 +11,13 @@ import pytest
 
 from conftest import write_report
 
-from repro.apps.rfid_anomalies import RFIDAnomaliesApp
-from repro.core.strategy import make_strategy
-from repro.experiments.harness import run_group
+from repro.experiments.harness import pack_runner
 from repro.experiments.report import format_table
 
-APP = RFIDAnomaliesApp()
+RUNNER = pack_runner("rfid")
 SIZES = (5, 10, 20, 40)
 _STREAMS = {
-    size: APP.generate_workload(0.3, seed=900 + size, items=size)
+    size: RUNNER.pack.generate_workload(0.3, 900 + size, items=size)
     for size in SIZES
 }
 
@@ -29,14 +27,14 @@ def test_pipeline_scalability(benchmark, items):
     contexts = _STREAMS[items]
 
     def run():
-        return run_group(
-            APP,
-            make_strategy("drop-bad"),
-            contexts,
+        return RUNNER.run(
+            "drop-bad",
             err_rate=0.3,
             seed=900 + items,
             use_window=20,
-        )
+            stream=contexts,
+            measures=False,
+        ).metrics
 
     metrics = benchmark.pedantic(run, rounds=2, iterations=1)
     assert metrics.contexts_total == len(contexts)
@@ -53,13 +51,13 @@ def test_scalability_summary(benchmark):
         for items in SIZES:
             contexts = _STREAMS[items]
             start = time.perf_counter()
-            run_group(
-                APP,
-                make_strategy("drop-bad"),
-                contexts,
+            RUNNER.run(
+                "drop-bad",
                 err_rate=0.3,
                 seed=900 + items,
                 use_window=20,
+                stream=contexts,
+                measures=False,
             )
             elapsed = time.perf_counter() - start
             rows.append(

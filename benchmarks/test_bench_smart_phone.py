@@ -13,25 +13,28 @@ also includes the conservative no-tie-discard drop-bad variant, which
 recovers the lost ground.
 """
 
+from dataclasses import replace
+
 from conftest import write_report
 
-from repro.apps.smart_phone import SmartPhoneApp
 from repro.core.drop_bad import DropBadStrategy
 from repro.experiments.harness import (
     ComparisonConfig,
-    default_strategy_factory as _instantiate_strategy,
+    ComparisonResult,
+    pack_runner,
     run_comparison,
 )
 from repro.experiments.report import format_comparison
 from repro.experiments.stats import compare_strategies
 
+#: Drop-bad that refuses to discard on a count tie.
+CONSERVATIVE = "drop-bad-conservative"
 
-def _factory(name: str, seed: int):
-    if name == "drop-bad-conservative":
-        strategy = DropBadStrategy(discard_on_tie=False)
-        strategy.name = "drop-bad-conservative"  # distinct metrics key
-        return strategy
-    return _instantiate_strategy(name, seed)
+
+def _conservative() -> DropBadStrategy:
+    strategy = DropBadStrategy(discard_on_tie=False)
+    strategy.name = CONSERVATIVE  # distinct metrics key
+    return strategy
 
 
 def _run(groups: int):
@@ -39,7 +42,7 @@ def _run(groups: int):
         strategies=(
             "opt-r",
             "drop-bad",
-            "drop-bad-conservative",
+            CONSERVATIVE,
             "drop-latest",
             "drop-all",
         ),
@@ -47,7 +50,24 @@ def _run(groups: int):
         use_window=8,
         workload_kwargs=(("days", 2),),
     )
-    return run_comparison(SmartPhoneApp(), config, strategy_factory=_factory)
+    named = tuple(s for s in config.strategies if s != CONSERVATIVE)
+    metrics = run_comparison("smart-phone", replace(config, strategies=named)).groups
+    # The conservative variant is an instance, not a registered name:
+    # run it over the same (rate, group) streams as the sweep.
+    runner = pack_runner(
+        "smart-phone",
+        workload_kwargs=config.workload_kwargs,
+        use_window=config.use_window,
+    )
+    for rate_index, err_rate in enumerate(config.err_rates):
+        for group in range(groups):
+            seed = config.base_seed + rate_index * 1000 + group
+            metrics.append(
+                runner.run(
+                    _conservative(), err_rate=err_rate, seed=seed, measures=False
+                ).metrics
+            )
+    return ComparisonResult(config=config, groups=metrics)
 
 
 def test_smart_phone_comparison(benchmark, bench_groups):

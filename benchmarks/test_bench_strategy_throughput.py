@@ -11,14 +11,12 @@ import time
 
 import pytest
 
-from repro.apps.call_forwarding import CallForwardingApp
-from repro.core.strategy import make_strategy
-from repro.experiments.harness import run_group
+from repro.experiments.harness import pack_runner
 from repro.middleware.pool import ContextPool
 from tests.conftest import make_context
 
-APP = CallForwardingApp()
-STREAM = APP.generate_workload(0.3, seed=88, duration=200.0)
+RUNNER = pack_runner("call-forwarding", workload_kwargs={"duration": 200.0})
+STREAM = RUNNER.pack.generate_workload(0.3, 88)
 
 
 @pytest.mark.parametrize(
@@ -27,14 +25,14 @@ STREAM = APP.generate_workload(0.3, seed=88, duration=200.0)
 )
 def test_pipeline_throughput(benchmark, strategy_name):
     def run():
-        return run_group(
-            APP,
-            make_strategy(strategy_name),
-            STREAM,
+        return RUNNER.run(
+            strategy_name,
             err_rate=0.3,
             seed=88,
             use_window=10,
-        )
+            stream=STREAM,
+            measures=False,
+        ).metrics
 
     metrics = benchmark.pedantic(run, rounds=3, iterations=1)
     assert metrics.contexts_total == len(STREAM)

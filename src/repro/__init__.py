@@ -6,17 +6,15 @@ Cheung, Chan, Ye -- ICDCS 2008): the drop-bad resolution strategy and
 its baselines, a Cabot-like context middleware with first-order
 consistency-constraint checking, simulated sensing (location tracking,
 Landmarc, RFID, Active Badge), the two evaluated applications, and the
-complete experiment harness.
+complete set of experiments, each run over a scenario pack.
 
 Quickstart::
 
-    from repro import (
-        CallForwardingApp, ComparisonConfig, run_comparison,
-        format_comparison,
-    )
+    from repro import ComparisonConfig, format_comparison, run_comparison
 
-    app = CallForwardingApp()
-    result = run_comparison(app, ComparisonConfig(groups_per_point=3))
+    result = run_comparison(
+        "call-forwarding", ComparisonConfig(groups_per_point=3)
+    )
     print(format_comparison(result, "Figure 9"))
 """
 
@@ -68,7 +66,6 @@ from .experiments import (
     replay_strategy,
     run_case_study,
     run_comparison,
-    run_group,
     run_tiebreak_ablation,
     run_window_ablation,
 )
@@ -121,7 +118,6 @@ __all__ = [
     "replay_strategy",
     "run_case_study",
     "run_comparison",
-    "run_group",
     "run_tiebreak_ablation",
     "run_window_ablation",
     "EventBus",

@@ -11,9 +11,7 @@ strategies comparable on one scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from ..core.context import Context
 from ..core.resolver import ResolutionLog
 
 __all__ = ["DiscardConfusion", "confusion_from_log", "format_confusion"]

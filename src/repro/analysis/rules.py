@@ -19,7 +19,7 @@ strategy actually saw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.context import Context
 from ..core.drop_bad import DropBadStrategy

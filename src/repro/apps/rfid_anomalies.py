@@ -14,7 +14,7 @@ situations are provided, plus the workload generator.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..constraints.ast import Constraint
 from ..constraints.builtins import FunctionRegistry, standard_registry

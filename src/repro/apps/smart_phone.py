@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 
@@ -34,7 +34,7 @@ from ..constraints.builtins import FunctionRegistry, standard_registry
 from ..constraints.checker import ConstraintChecker
 from ..constraints.parser import parse_constraint
 from ..core.context import Context, ContextFactory
-from ..situations.library import entered, make_situation, value_is
+from ..situations.library import entered, make_situation
 from ..situations.situation import Situation, SituationView
 
 __all__ = ["SmartPhoneApp", "RingerController", "VENUES", "NOISE_BANDS"]

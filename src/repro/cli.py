@@ -39,13 +39,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .apps.call_forwarding import CallForwardingApp
-from .apps.rfid_anomalies import RFIDAnomaliesApp
-from .apps.smart_phone import SmartPhoneApp
 from .core.strategy import make_strategy, strategy_names
 from .experiments.ablations import run_tiebreak_ablation, run_window_ablation
 from .experiments.case_study import run_case_study
-from .experiments.harness import ComparisonConfig, run_comparison, run_group
+from .experiments.harness import ComparisonConfig, pack_runner, run_comparison
 from .experiments.report import (
     format_case_study,
     format_comparison,
@@ -55,14 +52,13 @@ from .experiments.report import (
 )
 from .experiments.scenarios import SCENARIOS, replay_strategy
 from .middleware.trace import read_trace, write_trace
+from .scenarios.registry import get_pack
 
 __all__ = ["main", "build_parser"]
 
-_APPS = {
-    "call-forwarding": (CallForwardingApp, {"use_window": 10, "kwargs": {}}),
-    "rfid": (RFIDAnomaliesApp, {"use_window": 20, "kwargs": {}}),
-    "smart-phone": (SmartPhoneApp, {"use_window": 8, "kwargs": {}}),
-}
+#: The application packs the app-taking commands accept (their windows
+#: and builders come from the pack registry).
+_APP_PACKS = ("call-forwarding", "rfid", "smart-phone")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser(
         "compare", help="run a Figure 9/10 style strategy comparison"
     )
-    compare.add_argument("app", choices=sorted(_APPS))
+    compare.add_argument("app", choices=_APP_PACKS)
     compare.add_argument("--groups", type=int, default=5)
     compare.add_argument("--window", type=int, default=None)
     compare.add_argument(
@@ -109,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = commands.add_parser("trace", help="record or replay a stream")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     record = trace_sub.add_parser("record", help="write a workload to JSONL")
-    record.add_argument("app", choices=sorted(_APPS))
+    record.add_argument("app", choices=_APP_PACKS)
     record.add_argument("--out", required=True)
     record.add_argument("--err", type=float, default=0.3)
     record.add_argument("--seed", type=int, default=1)
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine_run = engine_sub.add_parser(
         "run", help="resolve an application workload on the engine"
     )
-    engine_run.add_argument("app", choices=sorted(_APPS))
+    engine_run.add_argument("app", choices=_APP_PACKS)
     engine_run.add_argument("--shards", type=int, default=4)
     engine_run.add_argument(
         "--strategy", default="drop-bad", choices=strategy_names()
@@ -219,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the async ingestion front-door"
     )
-    serve.add_argument("app", choices=sorted(_APPS))
+    serve.add_argument("app", choices=_APP_PACKS)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8600)
     serve.add_argument("--shards", type=int, default=2)
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "asynchrony",
         help="drop-bad vs OPT-R degradation under stream asynchrony",
     )
-    asynchrony.add_argument("app", choices=sorted(_APPS))
+    asynchrony.add_argument("app", choices=_APP_PACKS)
     asynchrony.add_argument("--groups", type=int, default=5)
     asynchrony.add_argument("--err", type=float, default=0.2)
     asynchrony.add_argument(
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = commands.add_parser(
         "loadgen", help="open-loop load sweep against the front-door"
     )
-    loadgen.add_argument("app", choices=sorted(_APPS))
+    loadgen.add_argument("app", choices=_APP_PACKS)
     loadgen.add_argument(
         "--rates", type=float, nargs="+", default=[200.0, 500.0, 1000.0]
     )
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ledger_replay.add_argument(
         "--app",
-        choices=sorted(_APPS),
+        choices=_APP_PACKS,
         default=None,
         help="predicate-registry fallback when the ledger header has no "
         "resolvable registry spec",
@@ -461,15 +457,15 @@ def _cmd_scenarios(out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    app_cls, defaults = _APPS[args.app]
+    pack = get_pack(args.app)
     config = ComparisonConfig(
         err_rates=tuple(args.rates),
         groups_per_point=args.groups,
         use_window=args.window
         if args.window is not None
-        else defaults["use_window"],
+        else pack.use_window,
     )
-    result = run_comparison(app_cls(), config)
+    result = run_comparison(pack, config)
     print(
         format_comparison(result, f"Strategy comparison -- {args.app}"),
         file=out,
@@ -480,12 +476,11 @@ def _cmd_compare(args, out) -> int:
 def _cmd_asynchrony(args, out) -> int:
     from .experiments.asynchrony import format_asynchrony_table, run_asynchrony
 
-    app_cls, defaults = _APPS[args.app]
     points = run_asynchrony(
-        app_cls(),
+        args.app,
         err_rate=args.err,
         groups=args.groups,
-        use_window=defaults["use_window"],
+        use_window=get_pack(args.app).use_window,
         max_lag=args.max_lag,
     )
     print(format_asynchrony_table(points), file=out)
@@ -501,12 +496,12 @@ def _cmd_case_study(args, out) -> int:
 def _cmd_ablation(args, out) -> int:
     if args.which == "window":
         points = run_window_ablation(
-            RFIDAnomaliesApp(), groups=args.groups, workload_kwargs={"items": 8}
+            "rfid", groups=args.groups, workload_kwargs={"items": 8}
         )
         print(format_window_ablation(points), file=out)
     else:
         points = run_tiebreak_ablation(
-            CallForwardingApp(),
+            "call-forwarding",
             groups=args.groups,
             workload_kwargs={"duration": 240.0},
         )
@@ -516,27 +511,27 @@ def _cmd_ablation(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     if args.trace_command == "record":
-        app_cls, _ = _APPS[args.app]
-        contexts = app_cls().generate_workload(args.err, seed=args.seed)
+        pack = pack_runner(args.app).pack
+        contexts = pack.generate_workload(args.err, args.seed)
         count = write_trace(contexts, args.out)
         print(f"wrote {count} contexts to {args.out}", file=out)
         return 0
     contexts = list(read_trace(args.path))
     types = {c.ctx_type for c in contexts}
     if "rfid_read" in types:
-        app = RFIDAnomaliesApp()
+        app = "rfid"
     elif "venue" in types:
-        app = SmartPhoneApp()
+        app = "smart-phone"
     else:
-        app = CallForwardingApp()
-    metrics = run_group(
-        app,
+        app = "call-forwarding"
+    metrics = pack_runner(app).run(
         make_strategy(args.strategy),
-        contexts,
         err_rate=0.0,
         seed=0,
         use_window=args.window,
-    )
+        stream=contexts,
+        measures=False,
+    ).metrics
     print(
         f"replayed {metrics.contexts_total} contexts under "
         f"{args.strategy}:\n"
@@ -599,13 +594,9 @@ def _cmd_engine(args, out) -> int:
             print(f"telemetry sidecar written to {args.telemetry_out}", file=out)
         return 0
 
-    app_cls, defaults = _APPS[args.app]
-    app = app_cls()
-    contexts = app.generate_workload(args.err, seed=args.seed)
-    checker = app.build_checker()
-    use_window = (
-        args.window if args.window is not None else defaults["use_window"]
-    )
+    pack = pack_runner(args.app).pack
+    contexts = pack.generate_workload(args.err, args.seed)
+    use_window = args.window if args.window is not None else pack.use_window
     try:
         config = EngineConfig(
             shards=args.shards,
@@ -627,9 +618,11 @@ def _cmd_engine(args, out) -> int:
         return 2
     telemetry = Telemetry(enabled=True) if args.telemetry_out else None
     engine = ShardedEngine(
-        checker.constraints(),
+        pack.build_constraints(),
         strategy=args.strategy,
-        registry_factory=app.build_registry,
+        # The application's own factory, so the ledger header names a
+        # registry that ``ledger replay`` can re-resolve.
+        registry_factory=pack.registry_factory,
         config=config,
         telemetry=telemetry,
     )
@@ -772,8 +765,7 @@ def _cmd_ledger(args, out) -> int:
         if args.ledger_command == "replay":
             registry_factory = None
             if args.app is not None:
-                app_cls, _ = _APPS[args.app]
-                registry_factory = app_cls().build_registry
+                registry_factory = get_pack(args.app).build_registry
             result = replay_ledger(
                 args.path,
                 shards=args.shards,
@@ -797,7 +789,6 @@ def _cmd_ledger(args, out) -> int:
 def _cmd_packs(args, out) -> int:
     from .scenarios import (
         PackRunner,
-        get_pack,
         load_pack_file,
         pack_names,
         rank_strategies,

@@ -22,7 +22,7 @@ helpers at the bottom of this module, or through the textual DSL in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, Optional, Tuple, Union
+from typing import FrozenSet, Iterator, Tuple, Union
 
 __all__ = [
     "Formula",

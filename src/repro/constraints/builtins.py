@@ -10,7 +10,6 @@ generic ones provided here.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..core.context import Context
@@ -73,10 +72,6 @@ class FunctionRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._functions)
-
-
-def _position(ctx: Context) -> tuple:
-    return ctx.position
 
 
 def standard_registry() -> FunctionRegistry:

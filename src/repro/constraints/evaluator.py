@@ -49,7 +49,6 @@ from .ast import (
     Existential,
     Formula,
     Implies,
-    Literal,
     Not,
     Or,
     Predicate,

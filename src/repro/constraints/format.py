@@ -13,7 +13,6 @@ from .ast import (
     Existential,
     Formula,
     Implies,
-    Literal,
     Not,
     Or,
     Predicate,

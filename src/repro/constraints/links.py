@@ -15,7 +15,7 @@ yields the violation links {d2, d3} and {d3, d4}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..core.context import Context
 

@@ -37,8 +37,7 @@ corrupted.  Property-based tests in
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from .context import Context, ContextState
 from .inconsistency import Inconsistency

@@ -18,7 +18,7 @@ is a programming error and raises :class:`LifecycleError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .context import Context, ContextState
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .context import Context, ContextState
+from .context import Context
 from .inconsistency import Inconsistency
 from .strategy import AddOutcome, ImmediateStrategy, register_strategy
 

@@ -22,18 +22,8 @@ strategies, the tracked inconsistency set Δ
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .context import Context, ContextState
 from .inconsistency import Inconsistency, TrackedInconsistencies

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, Optional, Sequence, Type
 
 from .context import Context
 from .inconsistency import TrackedInconsistencies

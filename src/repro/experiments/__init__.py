@@ -1,4 +1,4 @@
-"""Experiment harness, metrics, scenarios, case study and ablations."""
+"""Figure 9/10 comparisons, metrics, scenarios, case study and ablations."""
 
 from .ablations import (
     TieBreakPoint,
@@ -18,7 +18,6 @@ from .harness import (
     ComparisonConfig,
     ComparisonResult,
     run_comparison,
-    run_group,
 )
 from .metrics import (
     GroupMetrics,
@@ -63,7 +62,6 @@ __all__ = [
     "ComparisonConfig",
     "ComparisonResult",
     "run_comparison",
-    "run_group",
     "GroupMetrics",
     "SeriesPoint",
     "average_metrics",

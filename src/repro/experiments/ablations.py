@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.drop_bad import DropBadStrategy
-from ..core.strategy import ResolutionStrategy, make_strategy
 from ..core.tiebreak import make_tiebreak
-from .harness import ApplicationBundle, ComparisonConfig, run_group
+from .harness import pack_runner
 from .metrics import GroupMetrics, average_metrics, normalized_rate
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scenarios.spec import ScenarioPack
 
 __all__ = [
     "WindowPoint",
@@ -49,7 +51,7 @@ class WindowPoint:
 
 
 def run_window_ablation(
-    app: ApplicationBundle,
+    pack: Union[ScenarioPack, str],
     *,
     windows: Sequence[int] = (0, 1, 2, 4, 8, 16),
     err_rate: float = 0.3,
@@ -62,9 +64,9 @@ def run_window_ablation(
     All strategies (including the OPT-R normalization baseline) replay
     identical streams at every window size.
     """
-    kwargs = workload_kwargs or {}
+    runner = pack_runner(pack, workload_kwargs=workload_kwargs)
     streams = [
-        app.generate_workload(err_rate, base_seed + g, **kwargs)
+        runner.pack.generate_workload(err_rate, base_seed + g)
         for g in range(groups)
     ]
     points: List[WindowPoint] = []
@@ -72,14 +74,14 @@ def run_window_ablation(
         per_strategy: Dict[str, List[GroupMetrics]] = {}
         for name in ("opt-r", "drop-bad", "drop-latest"):
             per_strategy[name] = [
-                run_group(
-                    app,
-                    make_strategy(name),
-                    stream,
+                runner.run(
+                    name,
                     err_rate=err_rate,
                     seed=base_seed + g,
                     use_window=window,
-                )
+                    stream=stream,
+                    measures=False,
+                ).metrics
                 for g, stream in enumerate(streams)
             ]
         base = average_metrics(per_strategy["opt-r"])
@@ -114,7 +116,7 @@ class TieBreakPoint:
 
 
 def run_tiebreak_ablation(
-    app: ApplicationBundle,
+    pack: Union[ScenarioPack, str],
     *,
     policies: Sequence[str] = (
         "oldest",
@@ -131,26 +133,26 @@ def run_tiebreak_ablation(
     workload_kwargs: Optional[Dict[str, object]] = None,
 ) -> List[TieBreakPoint]:
     """Compare tie-break policies (and the conservative tie variant)."""
-    kwargs = workload_kwargs or {}
+    runner = pack_runner(pack, workload_kwargs=workload_kwargs)
     streams = [
-        app.generate_workload(err_rate, base_seed + g, **kwargs)
+        runner.pack.generate_workload(err_rate, base_seed + g)
         for g in range(groups)
     ]
 
     def run_variant(strategy_for_group) -> List[GroupMetrics]:
         return [
-            run_group(
-                app,
+            runner.run(
                 strategy_for_group(g),
-                stream,
                 err_rate=err_rate,
                 seed=base_seed + g,
                 use_window=use_window,
-            )
+                stream=stream,
+                measures=False,
+            ).metrics
             for g, stream in enumerate(streams)
         ]
 
-    baseline = average_metrics(run_variant(lambda g: make_strategy("opt-r")))
+    baseline = average_metrics(run_variant(lambda g: "opt-r"))
 
     variants: List[Tuple[str, bool]] = [(p, True) for p in policies]
     if include_no_tie_discard:

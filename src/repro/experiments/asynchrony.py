@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.context import Context
 from ..runtime.snapshot import AsyncCheckConfig
@@ -36,8 +36,11 @@ from ..sensing.perturb import (
     reorder_stream,
     skew_stream,
 )
-from .harness import ApplicationBundle, default_strategy_factory, run_group
+from .harness import pack_runner
 from .metrics import average_metrics, normalized_rate
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scenarios.spec import ScenarioPack
 
 __all__ = [
     "AsynchronyPoint",
@@ -95,7 +98,7 @@ def _perturb(
 
 
 def run_asynchrony(
-    app: ApplicationBundle,
+    pack: Union[ScenarioPack, str],
     *,
     perturbations: Sequence[Tuple[str, Sequence[float]]] = DEFAULT_PERTURBATIONS,
     err_rate: float = 0.2,
@@ -115,7 +118,7 @@ def run_asynchrony(
     the largest delay intensity; see
     :func:`repro.constraints.horizon.temporal_horizon`).
     """
-    kwargs = workload_kwargs or {}
+    runner = pack_runner(pack, workload_kwargs=workload_kwargs)
     async_config = AsyncCheckConfig(max_lag=max_lag)
     points: List[AsynchronyPoint] = []
     for kind_index, (kind, intensities) in enumerate(perturbations):
@@ -129,23 +132,23 @@ def run_asynchrony(
                         + level_index * 100
                         + group
                     )
-                    clean = app.generate_workload(err_rate, seed, **kwargs)
+                    clean = runner.pack.generate_workload(err_rate, seed)
                     perturbed = _perturb(
                         kind, clean, random.Random(seed ^ 0xA57), intensity
                     )
                     for name in per_strategy:
                         per_strategy[name].append(
-                            run_group(
-                                app,
-                                default_strategy_factory(name, seed),
-                                perturbed,
+                            runner.run(
+                                name,
                                 err_rate=err_rate,
                                 seed=seed,
                                 use_window=use_window,
+                                stream=perturbed,
                                 async_check=(
                                     async_config if async_on else None
                                 ),
-                            )
+                                measures=False,
+                            ).metrics
                         )
                 mine = average_metrics(per_strategy["drop-bad"])
                 base = average_metrics(per_strategy["opt-r"])

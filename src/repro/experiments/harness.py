@@ -1,24 +1,20 @@
-"""Experiment harness: runs strategies over application workloads.
+"""Figure 9/10 comparisons: every strategy over the same streams.
 
 One *group* (paper terminology) is one generated context stream played
 through the middleware under one resolution strategy.  A *comparison*
 runs every strategy over the same streams at every error rate -- the
 paper's 320-group setup is ``strategies(4) x err_rates(4) x
 groups(20)`` per application -- and normalizes the two metrics against
-OPT-R to produce the Figure 9/10 series.
+OPT-R to produce the Figure 9/10 series.  Every group runs on
+:class:`repro.scenarios.runner.PackRunner`, the one driver of a
+strategy over an application stream.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
-from ..core.context import Context
-from ..core.drop_bad import DropBadStrategy
-from ..core.strategy import ResolutionStrategy, make_strategy
-from ..middleware.manager import Middleware
-from ..situations.situation import SituationEngine
 from .metrics import (
     GroupMetrics,
     SeriesPoint,
@@ -27,13 +23,14 @@ from .metrics import (
     sample_stdev,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scenarios.spec import ScenarioPack
+
 __all__ = [
-    "ApplicationBundle",
-    "default_strategy_factory",
-    "run_group",
     "ComparisonConfig",
     "ComparisonResult",
     "run_comparison",
+    "pack_runner",
     "DEFAULT_STRATEGIES",
     "DEFAULT_ERROR_RATES",
 ]
@@ -45,78 +42,32 @@ DEFAULT_STRATEGIES: Tuple[str, ...] = ("opt-r", "drop-bad", "drop-latest", "drop
 DEFAULT_ERROR_RATES: Tuple[float, ...] = (0.10, 0.20, 0.30, 0.40)
 
 
-class ApplicationBundle(Protocol):
-    """What the harness needs from an application module."""
-
-    def build_checker(self, incremental: bool = ...):  # pragma: no cover
-        ...
-
-    def build_situations(self):  # pragma: no cover
-        ...
-
-    def generate_workload(self, err_rate: float, seed: int, **kwargs):
-        ...  # pragma: no cover
-
-
-def default_strategy_factory(name: str, seed: int) -> ResolutionStrategy:
-    """Create a strategy; stochastic ones get a derived, fixed seed."""
-    if name == "drop-random":
-        return make_strategy(name, rng=random.Random(seed ^ 0x5EED))
-    return make_strategy(name)
-
-
-#: Backwards-compatible alias.
-_instantiate_strategy = default_strategy_factory
-
-
-def run_group(
-    app: ApplicationBundle,
-    strategy: ResolutionStrategy,
-    contexts: Sequence[Context],
+def pack_runner(
+    pack: Union[ScenarioPack, str],
     *,
-    err_rate: float,
-    seed: int,
-    use_window: int = 4,
+    workload_kwargs=(),
+    use_window: Optional[int] = None,
     telemetry=None,
-    async_check=None,
-) -> GroupMetrics:
-    """Play one pre-generated stream under one strategy instance.
+):
+    """A :class:`~repro.scenarios.runner.PackRunner` sized for one experiment.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) instruments the
-    middleware pipeline for this group; pass one bundle across groups
-    to aggregate a whole scenario into one sidecar.  ``async_check``
-    (an :class:`repro.runtime.snapshot.AsyncCheckConfig`) puts the
-    middleware's arrival path behind the snapshot-window ingress --
-    the knob the asynchrony experiment sweeps.
+    ``pack`` is a :class:`~repro.scenarios.spec.ScenarioPack` or a
+    registered name.  ``workload_kwargs`` *replace* the pack's default
+    stream kwargs (the legacy packs default to the golden suite's small
+    streams), so an experiment that passes none gets the application's
+    own stream sizes.  ``use_window`` overrides the pack's window.
     """
-    middleware = Middleware(
-        app.build_checker(),
-        strategy,
-        use_window=use_window,
-        telemetry=telemetry,
-        async_check=async_check,
-    )
-    engine = SituationEngine(app.build_situations())
-    middleware.plug_in(engine)
-    middleware.receive_all(contexts)
+    # Imported here: ``import repro`` loads this package, and the
+    # engine's import closure must not grow by the scenario layer.
+    from ..scenarios.registry import get_pack
+    from ..scenarios.runner import PackRunner
 
-    log = middleware.resolution.log
-    delivered = log.delivered
-    return GroupMetrics(
-        strategy=strategy.name,
-        err_rate=err_rate,
-        seed=seed,
-        contexts_total=len(contexts),
-        contexts_corrupted=sum(1 for c in contexts if c.corrupted),
-        contexts_used=len(delivered),
-        contexts_used_corrupted=sum(1 for c in delivered if c.corrupted),
-        situations_activated=engine.total_activations(),
-        situations_spurious=engine.total_spurious(),
-        inconsistencies_detected=len(log.detected),
-        contexts_discarded=len(log.discarded),
-        discarded_corrupted=log.discarded_corrupted(),
-        discarded_expected=log.discarded_expected(),
-    )
+    if isinstance(pack, str):
+        pack = get_pack(pack)
+    pack = replace(pack, workload_kwargs=workload_kwargs or ())
+    if use_window is not None:
+        pack = replace(pack, use_window=use_window)
+    return PackRunner(pack, telemetry=telemetry)
 
 
 @dataclass(frozen=True)
@@ -212,42 +163,32 @@ class ComparisonResult:
 
 
 def run_comparison(
-    app: ApplicationBundle,
+    pack: Union[ScenarioPack, str],
     config: Optional[ComparisonConfig] = None,
     *,
-    strategy_factory: Optional[
-        Callable[[str, int], ResolutionStrategy]
-    ] = None,
     telemetry=None,
 ) -> ComparisonResult:
-    """Run the full strategies x error-rates x groups grid.
+    """Run the full strategies x error-rates x groups grid over ``pack``.
 
     Every strategy sees the *same* generated stream for a given
     (error rate, group) cell, so normalization against OPT-R compares
-    like with like.  ``strategy_factory`` can be overridden for
-    ablations (e.g. drop-bad with a different tie-break policy).
-    A shared ``telemetry`` bundle aggregates every group's pipeline
-    latencies into one registry.
+    like with like.  ``config.use_window`` and
+    ``config.workload_kwargs`` size the pack for the grid.  A shared
+    ``telemetry`` bundle aggregates every group's pipeline latencies
+    into one registry.
     """
     config = config or ComparisonConfig()
-    factory = strategy_factory or default_strategy_factory
-    result = ComparisonResult(config=config)
-    kwargs = dict(config.workload_kwargs)
-    for rate_index, err_rate in enumerate(config.err_rates):
-        for group in range(config.groups_per_point):
-            seed = config.base_seed + rate_index * 1000 + group
-            contexts = app.generate_workload(err_rate, seed, **kwargs)
-            for strategy_name in config.strategies:
-                strategy = factory(strategy_name, seed)
-                result.groups.append(
-                    run_group(
-                        app,
-                        strategy,
-                        contexts,
-                        err_rate=err_rate,
-                        seed=seed,
-                        use_window=config.use_window,
-                        telemetry=telemetry,
-                    )
-                )
-    return result
+    runner = pack_runner(
+        pack,
+        workload_kwargs=config.workload_kwargs,
+        use_window=config.use_window,
+        telemetry=telemetry,
+    )
+    runs = runner.sweep(
+        strategies=config.strategies,
+        err_rates=config.err_rates,
+        groups=config.groups_per_point,
+        base_seed=config.base_seed,
+        measures=False,
+    )
+    return ComparisonResult(config=config, groups=[r.metrics for r in runs])

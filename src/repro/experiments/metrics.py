@@ -39,16 +39,7 @@ run through the telemetry registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Sequence
 
 __all__ = [
     "GroupMetrics",

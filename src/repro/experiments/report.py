@@ -8,7 +8,7 @@ examples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .ablations import TieBreakPoint, WindowPoint
 from .case_study import CaseStudyResult

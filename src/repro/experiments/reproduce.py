@@ -16,8 +16,6 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..apps.call_forwarding import CallForwardingApp
-from ..apps.rfid_anomalies import RFIDAnomaliesApp
 from .ablations import run_tiebreak_ablation, run_window_ablation
 from .case_study import run_case_study
 from .charts import chart_comparison
@@ -85,7 +83,7 @@ def reproduce_paper(
 
     # -- E2: Figure 9 -----------------------------------------------------------
     cf_result = run_comparison(
-        CallForwardingApp(),
+        "call-forwarding",
         ComparisonConfig(
             groups_per_point=groups,
             use_window=10,
@@ -108,7 +106,7 @@ def reproduce_paper(
 
     # -- E3: Figure 10 ------------------------------------------------------------
     rfid_result = run_comparison(
-        RFIDAnomaliesApp(),
+        "rfid",
         ComparisonConfig(
             groups_per_point=groups,
             use_window=20,
@@ -145,12 +143,12 @@ def reproduce_paper(
 
     # -- E5/E6: ablations ----------------------------------------------------------------
     window_points = run_window_ablation(
-        RFIDAnomaliesApp(),
+        "rfid",
         groups=max(3, groups // 2),
         workload_kwargs={"items": 10},
     )
     tiebreak_points = run_tiebreak_ablation(
-        CallForwardingApp(),
+        "call-forwarding",
         groups=max(3, groups // 2),
         workload_kwargs={"duration": 300.0},
     )
@@ -166,7 +164,7 @@ def reproduce_paper(
 
     # -- E8: rule sensitivity ----------------------------------------------------------
     rule_points = run_rule_sensitivity(
-        CallForwardingApp(),
+        "call-forwarding",
         groups=max(3, groups // 2),
         workload_kwargs={"duration": 300.0},
     )

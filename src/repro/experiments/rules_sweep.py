@@ -15,11 +15,14 @@ be read off directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..analysis.rules import InstrumentedDropBad
-from .harness import ApplicationBundle, run_group
+from .harness import pack_runner
 from .metrics import sample_stdev
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scenarios.spec import ScenarioPack
 
 __all__ = ["RuleSensitivityPoint", "run_rule_sensitivity"]
 
@@ -38,7 +41,7 @@ class RuleSensitivityPoint:
 
 
 def run_rule_sensitivity(
-    app: ApplicationBundle,
+    pack: Union[ScenarioPack, str],
     *,
     err_rates: Sequence[float] = (0.1, 0.2, 0.3, 0.4),
     groups: int = 5,
@@ -47,7 +50,7 @@ def run_rule_sensitivity(
     workload_kwargs: Optional[Dict[str, object]] = None,
 ) -> List[RuleSensitivityPoint]:
     """Sweep error rates; one aggregated point per rate."""
-    kwargs = workload_kwargs or {}
+    runner = pack_runner(pack, workload_kwargs=workload_kwargs)
     points: List[RuleSensitivityPoint] = []
     for rate_index, err_rate in enumerate(err_rates):
         rule1: List[float] = []
@@ -57,16 +60,14 @@ def run_rule_sensitivity(
         observations: List[float] = []
         for group in range(groups):
             seed = base_seed + rate_index * 100 + group
-            contexts = app.generate_workload(err_rate, seed, **kwargs)
             strategy = InstrumentedDropBad()
-            metrics = run_group(
-                app,
+            metrics = runner.run(
                 strategy,
-                contexts,
                 err_rate=err_rate,
                 seed=seed,
                 use_window=use_window,
-            )
+                measures=False,
+            ).metrics
             rule1.append(strategy.report.rule1_rate)
             rule2_relaxed.append(strategy.report.rule2_relaxed_rate)
             precisions.append(metrics.removal_precision)

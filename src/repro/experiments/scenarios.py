@@ -20,14 +20,14 @@ scenario benchmark assert the paper's narrative outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..constraints.ast import Constraint
 from ..constraints.checker import ConstraintChecker
 from ..constraints.parser import parse_constraint
 from ..core.context import Context, ContextFactory
-from ..core.strategy import ResolutionStrategy, make_strategy
+from ..core.strategy import make_strategy
 from ..middleware.manager import Middleware
 
 __all__ = [

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from scipy import stats as scipy_stats
 
 from .harness import ComparisonResult
-from .metrics import GroupMetrics, sample_stdev
+from .metrics import sample_stdev
 
 __all__ = ["PairedComparison", "compare_strategies", "sign_test"]
 

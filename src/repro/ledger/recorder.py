@@ -146,11 +146,6 @@ class LedgerRecorder:
         self._dispatch[event_type] = handler
         return handler
 
-    def _entry_for(self, event: Event) -> Optional[dict]:
-        """Convert one event without sinking it (the dispatch, exposed)."""
-        handler = self._dispatch.get(type(event)) or self._resolve(type(event))
-        return handler(event) if handler is not None else None
-
     def _shard_for_id(self, ctx_id: str) -> int:
         return self._shard.get(ctx_id, 0)
 

@@ -8,7 +8,7 @@ actually used by applications" side of the paper's first metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..core.context import Context

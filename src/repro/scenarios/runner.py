@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.context import Context
+from ..core.strategy import ResolutionStrategy, make_strategy
 from ..engine import EngineConfig, ShardedEngine
-from ..experiments.harness import default_strategy_factory
 from ..experiments.metrics import (
     GroupMetrics,
     InconsistencyMeasures,
@@ -59,7 +59,11 @@ def decision_signature(
 
 
 def _strategy_kwargs(strategy: str, seed: int) -> Dict[str, Any]:
-    """Engine-host strategy kwargs mirroring ``default_strategy_factory``."""
+    """Keyword arguments a named strategy is built with on every host.
+
+    Stochastic strategies get an RNG derived from the run seed, so a
+    run is reproducible and every host draws the same choices.
+    """
     if strategy == "drop-random":
         return {"rng": random.Random(seed ^ 0x5EED)}
     return {}
@@ -123,7 +127,7 @@ class PackRunner:
 
     def run(
         self,
-        strategy: str = "drop-bad",
+        strategy: Union[str, ResolutionStrategy] = "drop-bad",
         *,
         err_rate: Optional[float] = None,
         seed: Optional[int] = None,
@@ -144,10 +148,23 @@ class PackRunner:
         middleware host, ``EngineConfig.ledger_path`` on engine hosts).
         ``measures=False`` skips the static Livshits measurement passes
         (they re-check the full stream, which benchmarks may not want
-        inside a timed section).
+        inside a timed section).  ``strategy`` is a registered name or,
+        on the ``middleware`` host only, a configured
+        :class:`~repro.core.strategy.ResolutionStrategy` instance (the
+        ablations' variants); the engine builds its strategies from
+        names.
         """
         if host not in HOSTS:
             raise ValueError(f"unknown host {host!r}; known: {HOSTS}")
+        if isinstance(strategy, str):
+            name = strategy
+        elif host == "middleware":
+            name = strategy.name
+        else:
+            raise ValueError(
+                f"host {host!r} takes a strategy name; only the "
+                f"middleware host runs a strategy instance"
+            )
         pack = self.pack
         err = pack.envelope.reference_err_rate if err_rate is None else err_rate
         run_seed = pack.default_seed if seed is None else seed
@@ -182,7 +199,7 @@ class PackRunner:
                 )
             )
         metrics = GroupMetrics(
-            strategy=strategy,
+            strategy=name,
             err_rate=err,
             seed=run_seed,
             contexts_total=len(contexts),
@@ -224,7 +241,7 @@ class PackRunner:
             )
         result = PackRunResult(
             pack=pack.name,
-            strategy=strategy,
+            strategy=name,
             err_rate=err,
             seed=run_seed,
             host=host,
@@ -241,7 +258,7 @@ class PackRunner:
 
     def _run_middleware(
         self,
-        strategy: str,
+        strategy: Union[str, ResolutionStrategy],
         contexts: Sequence[Context],
         *,
         seed: int,
@@ -251,9 +268,13 @@ class PackRunner:
         async_check,
     ):
         pack = self.pack
+        if isinstance(strategy, str):
+            strategy = make_strategy(
+                strategy, **_strategy_kwargs(strategy, seed)
+            )
         middleware = Middleware(
             pack.build_checker(kernels=kernels),
-            default_strategy_factory(strategy, seed),
+            strategy,
             use_window=window,
             telemetry=self.telemetry,
             async_check=async_check,
@@ -264,7 +285,7 @@ class PackRunner:
             middleware.plug_in(
                 LedgerService(
                     ledger_path,
-                    strategy_kwargs=_strategy_kwargs(strategy, seed),
+                    strategy_kwargs=_strategy_kwargs(strategy.name, seed),
                     registry_factory=pack.build_registry,
                     meta={"pack": pack.name},
                 )
@@ -382,10 +403,11 @@ class PackRunner:
     ) -> List[PackRunResult]:
         """Every roster strategy x error rate x group, shared streams.
 
-        Mirrors the harness grid: each (rate, group) cell generates one
-        stream and every strategy replays it, so per-cell comparisons
-        isolate the strategy.  Defaults come from the pack spec; the
-        full roster includes ``drop-random`` and ``user-specified``.
+        This is the Figure 9/10 grid (``run_comparison`` runs on it):
+        each (rate, group) cell generates one stream and every strategy
+        replays it, so per-cell comparisons isolate the strategy.
+        Defaults come from the pack spec; the full roster includes
+        ``drop-random`` and ``user-specified``.
         """
         pack = self.pack
         roster = tuple(strategies or pack.strategies)

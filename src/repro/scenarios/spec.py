@@ -2,12 +2,12 @@
 
 A pack is the declarative replacement for a bespoke application module:
 predicates, constraints (DSL text), situations, a phased workload, a
-strategy roster and an expected-metrics envelope, all plain data.  It
-implements the :class:`repro.experiments.harness.ApplicationBundle`
-protocol (``build_checker`` / ``build_situations`` /
-``generate_workload``), so every existing experiment -- the Figure 9/10
-comparison, the asynchrony sweep, the report pipeline -- runs unchanged
-over a pack.
+strategy roster and an expected-metrics envelope, all plain data.  Its
+builders (``build_checker`` / ``build_situations`` /
+``generate_workload``) are what :class:`~repro.scenarios.runner.PackRunner`
+drives, and every experiment -- the Figure 9/10 comparison, the
+ablations, the asynchrony and rule sweeps, the report pipeline -- runs
+on a pack through it.
 
 Python-registered packs may override any layer with an *escape hatch*
 factory (the legacy applications keep their hand-written floor-plan
@@ -214,7 +214,7 @@ class ScenarioPack:
             and self.workload is not None
         )
 
-    # -- the ApplicationBundle surface --------------------------------------
+    # -- the builders PackRunner drives -------------------------------------
 
     def build_registry(self) -> FunctionRegistry:
         if self.registry_factory is not None:

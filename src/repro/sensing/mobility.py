@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .environment import FloorPlan, Point, Room
+from .environment import FloorPlan, Point
 
 __all__ = ["TruePosition", "ScriptedPath", "RandomWaypointWalker", "ZoneFlowWalker"]
 

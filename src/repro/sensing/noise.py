@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .environment import FloorPlan, Point
+from .environment import Point
 
 __all__ = ["NoisyReading", "LocationNoiseModel", "RoomNoiseModel", "ZoneNoiseModel"]
 

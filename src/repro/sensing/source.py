@@ -9,10 +9,8 @@ are merged by timestamp into one stream.
 
 from __future__ import annotations
 
-import heapq
-import random
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 from ..core.context import Context, ContextFactory, INFINITE_LIFESPAN
 from .badge import BadgeSighting

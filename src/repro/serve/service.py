@@ -241,11 +241,6 @@ class IngestService:
         self._sweep_gaps()
         return SubmitResult(ctx.ctx_id, True, None, len(released))
 
-    def submit_many(
-        self, records, *, source: Optional[str] = None
-    ) -> List[SubmitResult]:
-        return [self.submit_record(r, source=source) for r in records]
-
     # -- gap sweeping --------------------------------------------------------
 
     def _sweep_gaps(self) -> int:

@@ -8,7 +8,7 @@ between places, co-location, and flow milestones.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core.context import Context
 from .situation import Situation, SituationView, Trigger

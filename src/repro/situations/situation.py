@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from ..core.context import Context
 from ..middleware.bus import ContextDelivered, SituationActivated

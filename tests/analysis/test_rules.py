@@ -1,7 +1,5 @@
 """Unit tests for heuristic-rule measurement."""
 
-import pytest
-
 from repro.analysis.rules import (
     InstrumentedDropBad,
     RuleObservation,

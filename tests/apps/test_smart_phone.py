@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.apps.smart_phone import (
-    NOISE_BANDS,
-    VENUES,
-    RingerController,
-    SmartPhoneApp,
-)
+from repro.apps.smart_phone import RingerController, SmartPhoneApp
 from repro.core.context import Context
 
 
@@ -154,19 +149,18 @@ class TestSituations:
         assert len(app.build_situations()) == 3
 
     def test_harness_compatible(self, app):
-        """The smart-phone app works in the comparison harness."""
-        from repro.core.strategy import make_strategy
-        from repro.experiments.harness import run_group
+        """The smart-phone app runs as a pack in the experiment driver."""
+        from repro.scenarios.runner import PackRunner
 
         contexts = app.generate_workload(0.3, seed=13, days=2)
-        metrics = run_group(
-            app,
-            make_strategy("drop-bad"),
-            contexts,
+        metrics = PackRunner("smart-phone").run(
+            "drop-bad",
             err_rate=0.3,
             seed=13,
             use_window=8,
-        )
+            stream=contexts,
+            measures=False,
+        ).metrics
         assert metrics.contexts_total == len(contexts)
         assert metrics.removal_precision > 0.5
 

@@ -5,13 +5,11 @@ import pytest
 from repro.constraints.ast import (
     And,
     Constraint,
-    Existential,
     Implies,
     Literal,
     Not,
     Or,
     Predicate,
-    Universal,
     Var,
     exists,
     forall,

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.constraints.ast import (
-    And,
-    Constraint,
-    Implies,
-    Not,
-    Or,
-    exists,
-    forall,
-    pred,
-)
+from repro.constraints.ast import And, Constraint, Implies, Or, exists, forall, pred
 from repro.constraints.builtins import standard_registry
 from repro.constraints.evaluator import Evaluator
 from repro.core.context import Context

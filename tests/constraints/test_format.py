@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.constraints.ast import (
     And,
     Existential,
-    Formula,
     Implies,
     Literal,
     Not,

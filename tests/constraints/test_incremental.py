@@ -5,7 +5,6 @@ exactly the violations (involving the new context) that a full
 re-evaluation would.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

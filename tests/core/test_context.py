@@ -1,7 +1,5 @@
 """Unit tests for the context model."""
 
-import math
-
 import pytest
 
 from repro.core.context import (

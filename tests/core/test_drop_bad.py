@@ -1,7 +1,5 @@
 """Unit tests for the drop-bad strategy (the paper's Figure 7/8)."""
 
-import pytest
-
 from repro.core.context import ContextState
 from repro.core.drop_bad import DropBadStrategy
 from repro.core.inconsistency import Inconsistency

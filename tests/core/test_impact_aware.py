@@ -1,8 +1,5 @@
 """Unit tests for the impact-oriented drop-bad extension."""
 
-import pytest
-
-from repro.core.context import ContextState
 from repro.core.drop_bad import DropBadStrategy
 from repro.core.impact_aware import (
     ImpactAwareDropBad,

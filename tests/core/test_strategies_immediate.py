@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 
 from repro.core.context import ContextState
 from repro.core.drop_all import DropAllStrategy
@@ -10,11 +9,7 @@ from repro.core.drop_latest import DropLatestStrategy
 from repro.core.drop_random import DropRandomStrategy
 from repro.core.inconsistency import Inconsistency
 from repro.core.oracle import OptimalStrategy
-from repro.core.user_specified import (
-    UserSpecifiedStrategy,
-    freshness_policy,
-    source_trust_policy,
-)
+from repro.core.user_specified import UserSpecifiedStrategy, source_trust_policy
 
 
 def inc(*contexts, constraint="c"):

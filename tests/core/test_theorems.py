@@ -15,7 +15,7 @@ hypergraphs over corrupted/expected contexts and arbitrary use orders
 -- so both the theorem and its preconditions are machine-checked.
 """
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

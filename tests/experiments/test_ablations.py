@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.rfid_anomalies import RFIDAnomaliesApp
 from repro.experiments.ablations import (
     run_tiebreak_ablation,
     run_window_ablation,
@@ -10,15 +9,15 @@ from repro.experiments.ablations import (
 
 
 @pytest.fixture(scope="module")
-def app():
-    return RFIDAnomaliesApp()
+def pack():
+    return "rfid"
 
 
 class TestWindowAblation:
     @pytest.fixture(scope="class")
-    def points(self, app):
+    def points(self, pack):
         return run_window_ablation(
-            app,
+            pack,
             windows=(0, 20),
             err_rate=0.3,
             groups=3,
@@ -49,9 +48,9 @@ class TestWindowAblation:
 
 class TestTieBreakAblation:
     @pytest.fixture(scope="class")
-    def points(self, app):
+    def points(self, pack):
         return run_tiebreak_ablation(
-            app,
+            pack,
             policies=("oldest", "newest"),
             err_rate=0.3,
             groups=2,

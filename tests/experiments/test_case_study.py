@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.case_study import (
-    CaseStudyConfig,
-    CaseStudyResult,
-    run_case_study,
-)
+from repro.experiments.case_study import CaseStudyConfig, run_case_study
 
 
 @pytest.fixture(scope="module")

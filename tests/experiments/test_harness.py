@@ -1,57 +1,61 @@
-"""Unit tests for the comparison harness (small scales)."""
+"""Unit tests for the Figure 9/10 comparison (small scales)."""
 
 import pytest
 
-from repro.apps.call_forwarding import CallForwardingApp
-from repro.core.strategy import make_strategy
 from repro.experiments.harness import (
     ComparisonConfig,
-    ComparisonResult,
+    pack_runner,
     run_comparison,
-    run_group,
 )
 
 
 @pytest.fixture(scope="module")
-def app():
-    return CallForwardingApp()
+def runner():
+    return pack_runner(
+        "call-forwarding", workload_kwargs={"duration": 120.0}
+    )
 
 
 @pytest.fixture(scope="module")
-def small_result(app):
+def small_result():
     config = ComparisonConfig(
         strategies=("opt-r", "drop-bad", "drop-latest"),
         err_rates=(0.2,),
         groups_per_point=2,
         workload_kwargs=(("duration", 120.0),),
     )
-    return run_comparison(app, config)
+    return run_comparison("call-forwarding", config)
 
 
 class TestRunGroup:
-    def test_group_metrics_consistency(self, app):
-        contexts = app.generate_workload(0.2, seed=3, duration=120.0)
-        m = run_group(
-            app,
-            make_strategy("opt-r"),
-            contexts,
+    def test_group_metrics_consistency(self, runner):
+        contexts = runner.pack.generate_workload(0.2, 3)
+        m = runner.run(
+            "opt-r",
             err_rate=0.2,
             seed=3,
             use_window=5,
-        )
+            stream=contexts,
+            measures=False,
+        ).metrics
         assert m.contexts_total == len(contexts)
         assert m.contexts_used <= m.contexts_total
         assert m.contexts_used_corrupted == 0  # oracle never delivers bad
         assert m.discarded_expected == 0
         assert m.removal_precision == 1.0
 
-    def test_strategies_see_identical_streams(self, app):
-        contexts = app.generate_workload(0.2, seed=3, duration=120.0)
-        a = run_group(
-            app, make_strategy("drop-bad"), contexts, err_rate=0.2, seed=3
-        )
-        b = run_group(
-            app, make_strategy("drop-bad"), contexts, err_rate=0.2, seed=3
+    def test_strategies_see_identical_streams(self, runner):
+        contexts = runner.pack.generate_workload(0.2, 3)
+        a, b = (
+            runner.run(
+                "drop-bad",
+                err_rate=0.2,
+                seed=3,
+                use_window=4,
+                stream=contexts,
+                measures=False,
+            ).metrics
+            for _ in range(2)
         )
         assert a == b  # fully deterministic
 

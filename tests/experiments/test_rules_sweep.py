@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.experiments.report import format_rule_sensitivity
 from repro.experiments.rules_sweep import run_rule_sensitivity
 
@@ -10,7 +9,7 @@ from repro.experiments.rules_sweep import run_rule_sensitivity
 @pytest.fixture(scope="module")
 def points():
     return run_rule_sensitivity(
-        CallForwardingApp(),
+        "call-forwarding",
         err_rates=(0.1, 0.4),
         groups=2,
         workload_kwargs={"duration": 150.0},
@@ -47,6 +46,6 @@ class TestRuleSensitivity:
         kwargs = dict(
             err_rates=(0.2,), groups=2, workload_kwargs={"duration": 100.0}
         )
-        first = run_rule_sensitivity(CallForwardingApp(), **kwargs)
-        second = run_rule_sensitivity(CallForwardingApp(), **kwargs)
+        first = run_rule_sensitivity("call-forwarding", **kwargs)
+        second = run_rule_sensitivity("call-forwarding", **kwargs)
         assert first == second

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.call_forwarding import CallForwardingApp
 from repro.experiments.harness import ComparisonConfig, run_comparison
 from repro.experiments.stats import compare_strategies, sign_test
 
@@ -22,7 +21,7 @@ class TestSignTest:
 @pytest.fixture(scope="module")
 def result():
     return run_comparison(
-        CallForwardingApp(),
+        "call-forwarding",
         ComparisonConfig(
             strategies=("opt-r", "drop-bad", "drop-all"),
             err_rates=(0.3,),

@@ -6,7 +6,7 @@ from repro.apps.call_forwarding import CallForwardingApp, ForwardingController
 from repro.apps.rfid_anomalies import RFIDAnomaliesApp
 from repro.core.context import ContextState
 from repro.core.strategy import make_strategy
-from repro.experiments.harness import run_group
+from repro.scenarios.runner import PackRunner
 from repro.middleware.manager import Middleware
 from repro.situations.situation import SituationEngine
 
@@ -44,14 +44,14 @@ class TestCallForwardingEndToEnd:
         leaving everything in place (sanity of the whole pipeline)."""
         app = CallForwardingApp()
         contexts = app.generate_workload(0.3, seed=22, duration=300.0)
-        m = run_group(
-            app,
-            make_strategy("drop-bad"),
-            contexts,
+        m = PackRunner("call-forwarding").run(
+            "drop-bad",
             err_rate=0.3,
             seed=22,
             use_window=10,
-        )
+            stream=contexts,
+            measures=False,
+        ).metrics
         assert m.contexts_discarded > 0
         assert m.removal_precision > 0.5
         assert m.survival_rate > 0.7
@@ -77,14 +77,14 @@ class TestRFIDEndToEnd:
         contexts = app.generate_workload(0.2, seed=31, items=4)
         results = []
         for _ in range(2):
-            m = run_group(
-                app,
-                make_strategy("drop-bad"),
-                contexts,
+            m = PackRunner("rfid").run(
+                "drop-bad",
                 err_rate=0.2,
                 seed=31,
                 use_window=20,
-            )
+                stream=contexts,
+                measures=False,
+            ).metrics
             results.append(m)
         assert results[0] == results[1]
 
@@ -98,14 +98,14 @@ class TestCrossStrategyInvariants:
     def test_every_strategy_completes_cleanly(self, name):
         app = CallForwardingApp()
         contexts = app.generate_workload(0.3, seed=41, duration=120.0)
-        m = run_group(
-            app,
-            make_strategy(name),
-            contexts,
+        m = PackRunner("call-forwarding").run(
+            name,
             err_rate=0.3,
             seed=41,
             use_window=10,
-        )
+            stream=contexts,
+            measures=False,
+        ).metrics
         assert m.contexts_used + m.contexts_discarded <= m.contexts_total
         assert 0.0 <= m.removal_precision <= 1.0
         assert 0.0 <= m.survival_rate <= 1.0
@@ -116,13 +116,13 @@ class TestCrossStrategyInvariants:
         contexts = app.generate_workload(0.3, seed=43, duration=200.0)
         used = {}
         for name in ("opt-r", "drop-bad", "drop-latest", "drop-all"):
-            m = run_group(
-                app,
-                make_strategy(name),
-                contexts,
+            m = PackRunner("call-forwarding").run(
+                name,
                 err_rate=0.3,
                 seed=43,
                 use_window=10,
-            )
+                stream=contexts,
+                measures=False,
+            ).metrics
             used[name] = m.contexts_used_expected
         assert used["opt-r"] >= max(used.values())

@@ -6,15 +6,13 @@ suite stays fast; the benchmarks regenerate the full figures.
 
 import pytest
 
-from repro.apps.call_forwarding import CallForwardingApp
-from repro.apps.rfid_anomalies import RFIDAnomaliesApp
 from repro.experiments.harness import ComparisonConfig, run_comparison
 
 
 @pytest.fixture(scope="module")
 def cf_result():
     return run_comparison(
-        CallForwardingApp(),
+        "call-forwarding",
         ComparisonConfig(
             err_rates=(0.3,),
             groups_per_point=3,
@@ -27,7 +25,7 @@ def cf_result():
 @pytest.fixture(scope="module")
 def rfid_result():
     return run_comparison(
-        RFIDAnomaliesApp(),
+        "rfid",
         ComparisonConfig(
             err_rates=(0.3,),
             groups_per_point=3,
@@ -87,7 +85,7 @@ class TestErrorRateTrend:
     def test_higher_error_rates_hurt_more(self):
         """Within a strategy, raising err_rate lowers the rates."""
         result = run_comparison(
-            CallForwardingApp(),
+            "call-forwarding",
             ComparisonConfig(
                 strategies=("opt-r", "drop-all"),
                 err_rates=(0.1, 0.4),

@@ -6,9 +6,17 @@ from repro.experiments.reproduce import reproduce_paper
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def run(tmp_path_factory):
+    """One reproduction for the whole module: report, path, progress."""
     path = tmp_path_factory.mktemp("repro") / "report.md"
-    text = reproduce_paper(groups=2, out_path=path)
+    messages = []
+    text = reproduce_paper(groups=2, out_path=path, progress=messages.append)
+    return text, path, messages
+
+
+@pytest.fixture(scope="module")
+def report(run):
+    text, path, _ = run
     return text, path
 
 
@@ -39,13 +47,7 @@ class TestReproducePaper:
         assert "96.5%" in text  # the paper's survival target appears
         assert "B=drop-bad" in text  # charts rendered
 
-    def test_progress_callback_invoked(self, tmp_path):
-        messages = []
-        # groups=1 keeps this second invocation cheap.
-        reproduce_paper(
-            groups=1,
-            out_path=tmp_path / "r.md",
-            progress=messages.append,
-        )
+    def test_progress_callback_invoked(self, run):
+        _, _, messages = run
         assert any("Figure 9" in m for m in messages)
         assert any("case study" in m for m in messages)

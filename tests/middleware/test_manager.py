@@ -4,7 +4,7 @@ import pytest
 
 from repro.constraints.checker import ConstraintChecker
 from repro.constraints.parser import parse_constraint
-from repro.core.context import Context, ContextState
+from repro.core.context import Context
 from repro.core.strategy import make_strategy
 from repro.middleware.bus import (
     ContextBuffered,

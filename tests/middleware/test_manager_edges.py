@@ -1,7 +1,5 @@
 """Edge cases of the middleware manager contract."""
 
-import pytest
-
 from repro.constraints.checker import ConstraintChecker
 from repro.constraints.parser import parse_constraint
 from repro.core.context import Context

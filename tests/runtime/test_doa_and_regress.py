@@ -21,7 +21,6 @@ Two paired holes in the arrival path, fixed together:
 
 from __future__ import annotations
 
-import pytest
 
 from repro.constraints.checker import ConstraintChecker
 from repro.core.context import Context

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.drop_bad import DropBadStrategy
 from repro.obs import Telemetry
 from repro.scenarios import FULL_ROSTER, PackRunner, rank_strategies
 
@@ -39,6 +40,19 @@ class TestSingleRun:
         want = runner.run("drop-bad", host="middleware")
         inline = runner.run("drop-bad", host="inline")
         assert inline.signature() == want.signature()
+
+    def test_strategy_instance_runs_on_the_middleware_host(self, runner):
+        """A configured instance is what the ablations pass; the same
+        strategy by name makes the same decisions."""
+        by_name = runner.run("drop-bad", measures=False)
+        instance = runner.run(DropBadStrategy(), measures=False)
+        assert instance.strategy == "drop-bad"
+        assert instance.signature() == by_name.signature()
+        assert instance.metrics == by_name.metrics
+
+    def test_strategy_instance_rejected_on_the_engine_host(self, runner):
+        with pytest.raises(ValueError, match="strategy name"):
+            runner.run(DropBadStrategy(), host="inline")
 
     @pytest.mark.parametrize("host", ["local", "process"])
     def test_removed_engine_modes_are_not_hosts(self, runner, host):

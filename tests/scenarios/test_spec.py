@@ -1,7 +1,7 @@
 """Unit tests for the scenario-pack spec layer.
 
 Predicate compilation, param freezing, situation building, the
-ApplicationBundle surface of :class:`ScenarioPack`, and the
+builder surface of :class:`ScenarioPack`, and the
 ``validate_pack`` linter.
 """
 

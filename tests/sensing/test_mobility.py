@@ -6,12 +6,7 @@ import random
 import pytest
 
 from repro.sensing.environment import office_floor, warehouse_floor
-from repro.sensing.mobility import (
-    RandomWaypointWalker,
-    ScriptedPath,
-    TruePosition,
-    ZoneFlowWalker,
-)
+from repro.sensing.mobility import RandomWaypointWalker, ScriptedPath, ZoneFlowWalker
 
 
 class TestScriptedPath:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.sensing.landmarc import (
     LandmarcEstimator,
-    ReferenceTag,
     corner_readers,
     grid_reference_tags,
 )

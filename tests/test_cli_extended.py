@@ -2,7 +2,6 @@
 
 import io
 
-import pytest
 
 from repro.cli import main
 
