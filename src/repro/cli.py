@@ -145,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "candidate indexes (interpreted reference path)",
     )
     engine_run.add_argument(
-        "--no-runtime-batch",
-        action="store_true",
-        help="disable the amortized runtime batch path (per-context "
-        "receive reference path)",
-    )
-    engine_run.add_argument(
         "--no-batch-kernels",
         action="store_true",
         help="disable columnar batched detection (detect_batch verdict "
@@ -604,7 +598,6 @@ def _cmd_engine(args, out) -> int:
             use_delay=args.delay,
             kernels=not args.no_kernels,
             batch_kernels=not args.no_batch_kernels,
-            runtime_batch=not args.no_runtime_batch,
             ledger_path=args.ledger,
             ledger_fsync=args.ledger_fsync,
             async_check=(

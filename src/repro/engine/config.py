@@ -54,12 +54,6 @@ class EngineConfig:
         golden suites pin it); ``False`` is the ``repro engine run
         --no-batch-kernels`` escape hatch and the A/B lever of the
         ``detection_batch`` benchmark column.
-    runtime_batch:
-        Apply arrivals through the amortized runtime batch path
-        (:func:`repro.runtime.batch.receive_batch`, default).
-        ``False`` falls back to per-context ``driver.receive`` -- the
-        ``repro engine run --no-runtime-batch`` escape hatch and the
-        A/B lever of the ``runtime_batch`` benchmark column.
     ledger_path:
         When set, the run writes an immutable decision ledger (see
         :mod:`repro.ledger`) to this JSONL path: every arrival,
@@ -85,7 +79,6 @@ class EngineConfig:
     use_delay: Optional[float] = None
     kernels: bool = True
     batch_kernels: bool = True
-    runtime_batch: bool = True
     ledger_path: Optional[str] = None
     ledger_fsync: bool = False
     async_check: Optional[AsyncCheckConfig] = None

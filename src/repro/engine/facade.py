@@ -18,21 +18,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..constraints.ast import Constraint
 from ..constraints.builtins import FunctionRegistry, standard_registry
 from ..core.context import Context
-from ..ledger import LedgerWriter, entries_from_events
 from ..ledger import ruleset_document as build_ruleset_document
 from ..ledger import ruleset_hash as hash_ruleset
 from ..middleware.bus import ContextDelivered, ContextDiscarded, Event, EventBus
 from ..obs.telemetry import Telemetry
+from ..runtime.pipeline import PipelineDriver
 from .config import EngineConfig
 from .metrics import EngineMetrics
 from .router import ContextRouter
 from .scope import partition_constraints
-from .shard import ShardPipeline, ShardSpec, StreamDriver
+from .shard import ShardPipeline, ShardSpec
 
 __all__ = ["ShardedEngine", "EngineResult"]
 
@@ -41,14 +42,12 @@ __all__ = ["ShardedEngine", "EngineResult"]
 class EngineResult:
     """Aggregated outcome of one engine run.
 
-    ``delivered``/``discarded`` are in decision order; ``events`` is
-    the globally ordered event stream; ``metrics`` carries the
-    throughput/per-shard numbers the benchmarks record.
+    ``delivered``/``discarded`` are in decision order; ``metrics``
+    carries the throughput/per-shard numbers the benchmarks record.
     """
 
     delivered: List[Context] = field(default_factory=list)
     discarded: List[Context] = field(default_factory=list)
-    events: List[Event] = field(default_factory=list)
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
 
     @property
@@ -138,7 +137,7 @@ class ShardedEngine:
 
     def build_driver(
         self, telemetry: Telemetry
-    ) -> Tuple[List[ShardPipeline], StreamDriver]:
+    ) -> Tuple[List[ShardPipeline], PipelineDriver]:
         """Build every shard pipeline and the one driver over them.
 
         The shards share ``telemetry`` (one registry, one span ring)
@@ -150,7 +149,7 @@ class ShardedEngine:
             pipeline = spec.build(telemetry=telemetry)
             pipeline.bus = self.bus
             pipelines.append(pipeline)
-        driver = StreamDriver(
+        driver = PipelineDriver(
             pipelines,
             self.router.route,
             use_window=self.config.use_window,
@@ -199,9 +198,8 @@ class ShardedEngine:
         Returns an :class:`~repro.engine.stream.EngineStream`: arrivals
         are submitted incrementally in batches, pending uses survive
         between submissions, and ``close()`` performs the end-of-stream
-        flush.  Decisions are byte-identical to :meth:`run` over the
-        same concatenated stream.  ``telemetry``
-        overrides the engine's bundle for this session.
+        flush.  :meth:`run` is one such session over a whole stream.
+        ``telemetry`` overrides the engine's bundle for this session.
         """
         from .stream import EngineStream  # local import: cycle
 
@@ -212,90 +210,41 @@ class ShardedEngine:
     def run(self, contexts: Iterable[Context]) -> EngineResult:
         """Resolve a whole stream; returns the aggregated result.
 
-        ``contexts`` may be any iterable (including a lazy trace
-        reader); it is consumed streamingly.
+        One :meth:`open_stream` session: ``contexts`` (any iterable,
+        including a lazy trace reader) is submitted in bounded chunks
+        and the session closed, so decisions -- and the ledger, when
+        ``config.ledger_path`` is set -- are the open stream's by
+        construction.
         """
-        self.router.routed = {i: 0 for i in range(self.config.shards)}
-        # Every run accounts into *some* registry; a caller-supplied
-        # bundle keeps Prometheus counter semantics (cumulative across
-        # runs), an implicit one is fresh per engine.
-        telemetry = (
-            self.telemetry if self.telemetry is not None else Telemetry.disabled()
-        )
-        telemetry.registry.gauge(
-            "repro_ruleset_info",
-            help="Resolution ruleset identity (value is always 1)",
-            labels={"ruleset_hash": self.ruleset_hash},
-        ).set(1.0)
+        result = EngineResult()
+
+        def on_delivered(event: Event) -> None:
+            result.delivered.append(event.context)
+
+        def on_discarded(event: Event) -> None:
+            result.discarded.append(event.context)
+
         started = time.perf_counter()
-        result = self._run_inline(contexts, telemetry)
-        # Ledger emission is part of the run, so its cost lands inside
-        # elapsed_s -- the benchmark's overhead column stays honest.
-        if self.config.ledger_path:
-            self._write_ledger(result, telemetry)
+        stream = self.open_stream()
+        self.bus.subscribe(ContextDelivered, on_delivered)
+        self.bus.subscribe(ContextDiscarded, on_discarded)
+        try:
+            iterator = iter(contexts)
+            while True:
+                chunk = list(islice(iterator, 256))
+                if not chunk:
+                    break
+                stream.submit(chunk)
+        finally:
+            # Closing flushes the pending uses and the ledger inside
+            # elapsed_s; closing on error too releases the ledger file
+            # and the session's subscriptions.  The bus outlives the
+            # run, so a later run's decisions must not land here.
+            stream.close()
+            self.bus.unsubscribe(ContextDelivered, on_delivered)
+            self.bus.unsubscribe(ContextDiscarded, on_discarded)
+        result.metrics = EngineMetrics.from_registry(
+            stream.telemetry.registry, shards=self.config.shards
+        )
         result.metrics.elapsed_s = time.perf_counter() - started
         return result
-
-    def _write_ledger(self, result: EngineResult, telemetry: Telemetry) -> None:
-        """Emit the run's decision ledger to ``config.ledger_path``.
-
-        Converts the globally ordered event stream, attributing shards
-        through the router's pure :meth:`shard_for`.  (Recording live
-        off the bus was measured as a wash against this post-hoc walk:
-        the extra per-event subscriber dispatch costs what the
-        warm-cache entry build saves.)
-        """
-        entries = entries_from_events(
-            result.events, shard_of=self.router.shard_for
-        )
-        meta = {
-            "host": "engine",
-            "mode": "inline",
-            "shards": self.config.shards,
-            "kernels": self.config.kernels,
-            "batch_kernels": self.config.batch_kernels,
-        }
-        with LedgerWriter(
-            self.config.ledger_path,
-            self.ruleset_document(),
-            meta=meta,
-            fsync=self.config.ledger_fsync,
-            buffer_entries=len(entries) + 1,
-            telemetry=telemetry,
-        ) as writer:
-            # The entry dicts are freshly built above and discarded
-            # after the write, so the defensive copy is skipped.
-            writer.append_many(entries, copy=False)
-
-    # -- the run loop ----------------------------------------------------------
-
-    def _run_inline(
-        self, contexts: Iterable[Context], telemetry: Telemetry
-    ) -> EngineResult:
-        pipelines, driver = self.build_driver(telemetry)
-        events: List[Event] = []
-        self.bus.subscribe(Event, events.append)
-        try:
-            if self.config.runtime_batch:
-                driver.receive_all(contexts)
-            else:
-                for ctx in contexts:
-                    driver.receive(ctx)
-                driver.flush_uses()
-        finally:
-            # The bus outlives the run: a later run's events must not
-            # land in this result.
-            self.bus.unsubscribe(Event, events.append)
-        delivered = [e.context for e in events if isinstance(e, ContextDelivered)]
-        discarded = [e.context for e in events if isinstance(e, ContextDiscarded)]
-        for pipeline in pipelines:
-            pipeline.flush_stats()
-        metrics = EngineMetrics.from_registry(
-            telemetry.registry, shards=self.config.shards
-        )
-        return EngineResult(
-            delivered=delivered,
-            discarded=discarded,
-            events=events,
-            metrics=metrics,
-        )

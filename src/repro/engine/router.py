@@ -16,7 +16,6 @@ in another process must agree on every routing decision.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
 
 from ..core.context import Context
 from .scope import ScopePartition
@@ -34,15 +33,12 @@ class ContextRouter:
     def __init__(self, partition: ScopePartition) -> None:
         self.partition = partition
         self.shards = partition.shards
-        #: Routing decisions per shard, for load diagnostics.
-        self.routed: Dict[int, int] = {i: 0 for i in range(self.shards)}
 
     def shard_for(self, ctx: Context) -> int:
-        """Pure routing decision for ``ctx`` (no load accounting).
+        """The shard that must (or may) process ``ctx``.
 
-        Observers (the decision ledger's shard attribution) use this to
-        ask "where does this context live?" without inflating the
-        ``routed`` load counters that :meth:`route` maintains.
+        Pure: the driver routes arrivals through it and the decision
+        ledger attributes entries to shards through it.
         """
         shard = self.partition.shard_of_type(ctx.ctx_type)
         if shard < 0:
@@ -51,17 +47,6 @@ class ContextRouter:
             shard = _stable_hash(key) % self.shards
         return shard
 
-    def route(self, ctx: Context) -> int:
-        """The shard that must (or may) process ``ctx``."""
-        shard = self.shard_for(ctx)
-        self.routed[shard] += 1
-        return shard
-
-    def load_skew(self) -> float:
-        """max/mean routed contexts across shards (1.0 = perfectly even)."""
-        counts = list(self.routed.values())
-        total = sum(counts)
-        if total == 0:
-            return 1.0
-        mean = total / len(counts)
-        return max(counts) / mean if mean else 1.0
+    #: The driver's routing hook (a distinct attribute, so profilers
+    #: can wrap arrival routing without touching ledger attribution).
+    route = shard_for

@@ -6,13 +6,11 @@ the sharded engine:
 
 * :class:`ShardPipeline` is a
   :class:`~repro.runtime.pipeline.ResolutionPipeline` with a shard id,
-  per-shard arrival/use counters and the ``engine_shard_*`` accounting
+  a per-shard arrival counter and the ``engine_shard_*`` accounting
   (:meth:`~ShardPipeline.flush_stats`).  No stage logic is defined
-  here.
-* :class:`StreamDriver` is a
-  :class:`~repro.runtime.pipeline.PipelineDriver` under its historical
-  name: driving all *n* shard pipelines through one driver reproduces
-  the single-pool middleware's use schedule globally.
+  here.  The engine drives all *n* shard pipelines through one
+  :class:`~repro.runtime.pipeline.PipelineDriver`, which reproduces the
+  single-pool middleware's use schedule globally.
 * :class:`ShardSpec` names what one shard is built from (its
   constraints, strategy and checker options).
 """
@@ -26,19 +24,19 @@ from ..constraints.ast import Constraint
 from ..constraints.builtins import FunctionRegistry, standard_registry
 from ..constraints.checker import ConstraintChecker
 from ..core.context import Context
-from ..core.resolver import AddOutcome, UseOutcome
+from ..core.resolver import AddOutcome
 from ..core.strategy import ResolutionStrategy, make_strategy
 from ..middleware.bus import EventBus
-from ..runtime.pipeline import PipelineDriver, ResolutionPipeline
+from ..runtime.pipeline import ResolutionPipeline
 
-__all__ = ["ShardPipeline", "StreamDriver", "ShardSpec"]
+__all__ = ["ShardPipeline", "ShardSpec"]
 
 
 class ShardPipeline(ResolutionPipeline):
     """One shard's pool, detector and strategy, externally scheduled.
 
     The life cycle itself is inherited; this class adds the shard id,
-    the per-shard arrival/use counters and the ``engine_shard_*``
+    the per-shard arrival counter and the ``engine_shard_*``
     registry accounting.  The receive/use stage wrappers record
     histogram-only (``wrapper_spans=False``): their interesting
     sub-work (check/resolve/deliver) is already spanned inside, and the
@@ -57,7 +55,6 @@ class ShardPipeline(ResolutionPipeline):
         self.shard_id = shard_id
         #: Contexts this shard has processed (arrivals routed here).
         self.arrivals = 0
-        self.uses = 0
         # Each pipeline needs a registry of its own (or its engine's):
         # EngineMetrics is a view over it -- flush_stats() lands here,
         # even when the bundle is disabled, so a shared NULL bundle
@@ -83,10 +80,6 @@ class ShardPipeline(ResolutionPipeline):
         # toward engine_shard_contexts_total like any other arrival.
         self.arrivals += 1
         super().expire_on_receive(ctx, now)
-
-    def use(self, ctx: Context, now: float) -> UseOutcome:
-        self.uses += 1
-        return super().use(ctx, now)
 
     # -- diagnostics --------------------------------------------------------
 
@@ -140,16 +133,6 @@ class ShardPipeline(ResolutionPipeline):
                 help="Constraints assigned to the shard",
                 labels=labels,
             ).set(len(constraints()))
-
-
-class StreamDriver(PipelineDriver):
-    """Global use scheduling over one or more shard pipelines.
-
-    The historical engine name for the canonical
-    :class:`~repro.runtime.pipeline.PipelineDriver` -- the clock, the
-    :class:`~repro.runtime.scheduler.UseScheduler` and the arrival
-    loop are all inherited unchanged.
-    """
 
 
 @dataclass(frozen=True)

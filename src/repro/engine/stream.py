@@ -1,20 +1,20 @@
 """Push-style engine sessions: incremental arrivals, deferred close.
 
-:meth:`ShardedEngine.run` consumes a whole stream and returns; a
-serving front-door (:mod:`repro.serve`) has no whole stream -- contexts
-trickle in from live connections and the engine must absorb them as
-they arrive.  :class:`EngineStream` is that entrypoint: an open inline
-session over the engine's shard pipelines that accepts batches through
-the amortized runtime arrival path (:func:`repro.runtime.batch.
-receive_batch`), keeps the use scheduler live between submissions, and
-flushes the remaining pending uses only when the session closes.
+A serving front-door (:mod:`repro.serve`) has no whole stream --
+contexts trickle in from live connections and the engine must absorb
+them as they arrive.  :class:`EngineStream` is that entrypoint: an
+open inline session over the engine's shard pipelines that accepts
+batches through the amortized runtime arrival path
+(:func:`repro.runtime.batch.receive_batch`), keeps the use scheduler
+live between submissions, and flushes the remaining pending uses only
+when the session closes.
 
-Decision equivalence: submitting a stream through any sequence of
-``submit`` calls followed by ``close`` produces byte-identical
-decisions to ``ShardedEngine.run`` over the concatenated stream --
-chunking is invisible to the runtime (the golden
-equivalence suite pins this for the batch path, and
-``tests/engine/test_stream.py`` pins it for open sessions).
+``ShardedEngine.run`` is itself one session -- the whole stream
+submitted in fixed-size chunks, then ``close`` -- so a run and an open
+session share one arrival path and one live ledger recorder by
+construction.  Any other chunking of the same stream yields
+byte-identical decisions and ledger (``tests/engine/test_stream.py``
+pins both).
 
 The session is single-submitter by design: one caller (the serve
 layer's engine pump task) feeds it sequentially.  It is not
@@ -76,17 +76,17 @@ class EngineStream:
         self.bus.subscribe(ContextExpired, self._on_expired)
         self.bus.subscribe(ContextStale, self._on_stale)
         self.bus.subscribe(ContextDuplicate, self._on_duplicate)
+        bundle.registry.gauge(
+            "repro_ruleset_info",
+            help="Resolution ruleset identity (value is always 1)",
+            labels={"ruleset_hash": engine.ruleset_hash},
+        ).set(1.0)
         # Open sessions record their ledger *live* -- entries hit the
         # writer as decisions happen, not at close, so a crashed serve
         # process still leaves a verifiable prefix on disk.
         self.ledger_writer: Optional[LedgerWriter] = None
         self._ledger_recorder: Optional[LedgerRecorder] = None
         if engine.config.ledger_path:
-            bundle.registry.gauge(
-                "repro_ruleset_info",
-                help="Resolution ruleset identity (value is always 1)",
-                labels={"ruleset_hash": engine.ruleset_hash},
-            ).set(1.0)
             self.ledger_writer = LedgerWriter(
                 engine.config.ledger_path,
                 engine.ruleset_document(),
@@ -151,8 +151,7 @@ class EngineStream:
     def close(self) -> None:
         """End the stream: use every context still awaiting its window.
 
-        Mirrors the end-of-stream flush of :meth:`ShardedEngine.run`;
-        after this, every admitted context has reached a terminal
+        After this, every admitted context has reached a terminal
         decision (delivered, discarded, or expired).  Idempotent.
         """
         if self.closed:

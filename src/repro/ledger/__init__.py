@@ -33,7 +33,7 @@ from .reader import (
     read_ledger,
     verify_ledger,
 )
-from .recorder import LedgerRecorder, entries_from_events
+from .recorder import LedgerRecorder
 from .records import (
     DECISION_KINDS,
     LEDGER_VERSION,
@@ -61,7 +61,6 @@ __all__ = [
     "resolve_registry_spec",
     "LedgerWriter",
     "LedgerRecorder",
-    "entries_from_events",
     "LedgerService",
     "read_ledger",
     "iter_ledger",

@@ -6,15 +6,12 @@ which publishes the full lifecycle vocabulary on its event bus.  The
 recorder converts that stream into ledger entries, so wiring a ledger
 into a new host costs one bus subscription, never new stage logic.
 
-Two consumption styles:
-
-* **live** -- :meth:`LedgerRecorder.attach` subscribes to a bus and
-  feeds a sink per event (the serving front-door's open stream, the
-  middleware's :class:`~repro.ledger.service.LedgerService`);
-* **post-hoc** -- :func:`entries_from_events` converts a recorded
-  event list (an :class:`~repro.engine.facade.EngineResult`'s
-  ``events``) into entries in the same order, so the ledger's
-  decision order is the result's.
+Recording is live: :meth:`LedgerRecorder.attach` subscribes to a bus
+and feeds a sink per event, so entries reach the ledger in publish
+order as decisions happen.  The engine's open stream (which
+``ShardedEngine.run`` and the serving front-door both drive) and the
+middleware's :class:`~repro.ledger.service.LedgerService` are its two
+users.
 
 The recorder keeps two small indexes: context -> owning shard (from
 arrivals; popped on terminal verdicts) and context -> implicating
@@ -24,7 +21,7 @@ entry carries).  Both are bounded by the number of in-flight contexts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.context import Context
 from ..middleware.bus import (
@@ -53,7 +50,7 @@ from .records import (
     KIND_STALE,
 )
 
-__all__ = ["LedgerRecorder", "entries_from_events"]
+__all__ = ["LedgerRecorder"]
 
 # ContextBuffered is deliberately absent: buffering is mechanical
 # staging, not a verdict (see :mod:`.records`), and at ~one event per
@@ -91,8 +88,8 @@ class LedgerRecorder:
         self._why: Dict[str, List[str]] = {}
         self._bus: Optional[EventBus] = None
         # Exact-type dispatch table (an isinstance cascade per event is
-        # measurable on the engine's post-run emission path); unknown
-        # concrete types resolve through isinstance once, then cache.
+        # measurable on the recording hot path); unknown concrete
+        # types resolve through isinstance once, then cache.
         self._dispatch: Dict[type, Optional[Callable[[Event], Optional[dict]]]] = {
             ContextReceived: self._on_arrival,
             InconsistencyDetected: self._on_detection,
@@ -251,33 +248,3 @@ class LedgerRecorder:
             }
 
         return handle
-
-
-def entries_from_events(
-    events: Iterable[Event],
-    *,
-    shard_of: Optional[Callable[[Context], int]] = None,
-) -> List[dict]:
-    """Convert a recorded event stream into ledger entries.
-
-    ``shard_of`` attributes each context to its shard; without it
-    every entry is single-pool shard ``0``.
-    """
-    out: List[dict] = []
-    recorder = LedgerRecorder(out.append, shard_of=shard_of)
-    # Post-hoc conversion is the engine's bulk emission path; running
-    # the dispatch loop here (instead of one observe() call per event)
-    # drops a Python frame per event.  ``None`` handlers mark cached
-    # non-lifecycle types, so missing needs a distinct sentinel.
-    dispatch = recorder._dispatch
-    append = out.append
-    missing = object()
-    for event in events:
-        handler = dispatch.get(type(event), missing)
-        if handler is missing:
-            handler = recorder._resolve(type(event))
-        if handler is not None:
-            entry = handler(event)
-            if entry is not None:
-                append(entry)
-    return out

@@ -6,8 +6,9 @@ deliver/discard life cycle, shared by every entry point:
 * :class:`~repro.middleware.manager.Middleware` -- the single-pool
   reproduction host -- is a thin adapter over one
   :class:`ResolutionPipeline` and one :class:`PipelineDriver`;
-* the engine's ``ShardPipeline``/``StreamDriver``
-  (:mod:`repro.engine.shard`) adapt the same classes per shard.
+* the engine's ``ShardPipeline`` (:mod:`repro.engine.shard`) adapts
+  :class:`ResolutionPipeline` per shard, and one
+  :class:`PipelineDriver` schedules all shards.
 
 See ``docs/runtime.md`` for the stage/semantics reference.
 """

@@ -46,14 +46,14 @@ exact soundness conditions; whenever they cannot be established the
 arrival transparently falls back to the per-context detect, so
 decisions never depend on the flag.
 
-The engine's ``run`` and open streams and the middleware's
-``receive_all`` all feed through here, so the batch
-path is the one hot loop everything shares.
+The engine's open streams (its ``run`` is one) and the middleware's
+``receive_all`` all feed through here, so the batch path is the one
+hot loop everything shares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.context import Context
 from .pipeline import PipelineDriver, ResolutionPipeline
@@ -188,8 +188,8 @@ def _batch_planners(
     batch kernels enabled (with them off the sequential emulation would
     only add overhead), and the strategy must guarantee that the pool
     *is* the checking scope.  ``routes`` is the precomputed pipeline
-    index per context (routing may count calls, so the caller routes
-    each context exactly once and shares the result).  Returns ``None``
+    index per context (the caller routes each context exactly once
+    and shares the result with the hot loop).  Returns ``None``
     when no pipeline qualifies, so the hot loop skips planner lookups
     entirely.
     """
@@ -233,23 +233,15 @@ def _batch_planners(
 
 
 def receive_batch(
-    driver: PipelineDriver,
-    contexts: Sequence[Context],
-    position_hook: Optional[Callable[[int], None]] = None,
+    driver: PipelineDriver, contexts: Sequence[Context]
 ) -> int:
-    """Apply ``contexts`` in order; returns how many were processed.
-
-    ``position_hook`` (used by the fault-injection harness) is called
-    with the batch position before each context is processed.
-    """
+    """Apply ``contexts`` in order; returns how many were processed."""
     if driver.ingress is not None:
         # Asynchronous checking: the snapshot window decides release
         # order per arrival, so the hoisted fast path (whose sweep
         # bound amortization assumes arrivals are processed as they
         # come) hands over to the per-context path.
-        for position, ctx in enumerate(contexts):
-            if position_hook is not None:
-                position_hook(position)
+        for ctx in contexts:
             driver.receive(ctx)
         return len(contexts)
     pipelines = driver.pipelines
@@ -260,9 +252,8 @@ def receive_batch(
     drain = driver.drain_due_uses
     advance = clock.advance_to
     clock_now = clock.now
-    # Routing may count calls (e.g. the engine's ContextRouter keeps
-    # per-shard tallies), so each context is routed exactly once: the
-    # planning pass and the hot loop share the precomputed indices.
+    # Each context is routed exactly once: the planning pass and the
+    # hot loop share the precomputed indices.
     routes: Optional[List[int]] = None
     planners = None
     if getattr(driver, "batch_kernels", True):
@@ -275,8 +266,6 @@ def receive_batch(
     )
     position = 0
     for ctx in contexts:
-        if position_hook is not None:
-            position_hook(position)
         pipeline_index = routes[position] if routes is not None else route(ctx)
         position += 1
         now = ctx.timestamp

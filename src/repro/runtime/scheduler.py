@@ -3,7 +3,7 @@
 The paper's drop-bad life cycle delays the *use* of a context by a
 configurable window after its arrival (Section 5.3).  Two window
 semantics exist, historically implemented twice (``Middleware`` and the
-engine's ``StreamDriver``) with an O(n) deque rebuild on every discard.
+sharded engine) with an O(n) deque rebuild on every discard.
 :class:`UseScheduler` is the single implementation both now share:
 
 * **count-based** (``use_window`` admitted arrivals) -- deterministic

@@ -28,29 +28,30 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..apps.call_forwarding import CallForwardingApp
-from ..apps.rfid_anomalies import RFIDAnomaliesApp
-from ..apps.smart_phone import SmartPhoneApp
 from ..obs.telemetry import Telemetry
+from ..scenarios.registry import get_pack, pack_names
+from ..scenarios.spec import ScenarioPack
 from .config import ServeConfig
 from .http import HttpClient, IngestServer
 from .protocol import record_from_context
 from .service import IngestService
 
 __all__ = [
-    "LOADGEN_APPS",
     "build_app_engine",
     "prepare_records",
     "run_open_loop",
     "run_sweep",
 ]
 
-#: Applications a load generator can replay, with their paper windows.
-LOADGEN_APPS = {
-    "call-forwarding": (CallForwardingApp, 10),
-    "rfid": (RFIDAnomaliesApp, 20),
-    "smart-phone": (SmartPhoneApp, 8),
-}
+
+def _app_pack(app_name: str) -> ScenarioPack:
+    """The application pack ``app_name`` (one with its own generator)."""
+    apps = [
+        name for name in pack_names() if get_pack(name).workload_factory
+    ]
+    if app_name not in apps:
+        raise ValueError(f"unknown app {app_name!r}; expected one of {apps}")
+    return get_pack(app_name)
 
 
 def build_app_engine(
@@ -73,25 +74,18 @@ def build_app_engine(
     """
     from ..engine import EngineConfig, ShardedEngine
 
-    try:
-        app_cls, default_window = LOADGEN_APPS[app_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown app {app_name!r}; expected one of {sorted(LOADGEN_APPS)}"
-        ) from None
-    app = app_cls()
-    checker = app.build_checker()
+    pack = _app_pack(app_name)
     config = EngineConfig(
         shards=shards,
-        use_window=use_window if use_window is not None else default_window,
+        use_window=use_window if use_window is not None else pack.use_window,
         ledger_path=ledger_path,
         ledger_fsync=ledger_fsync,
         async_check=async_check,
     )
     return ShardedEngine(
-        checker.constraints(),
+        pack.build_constraints(),
         strategy=strategy,
-        registry_factory=app.build_registry,
+        registry_factory=pack.registry_factory,
         config=config,
         telemetry=telemetry,
     )
@@ -111,8 +105,9 @@ def prepare_records(
     day), and cycling beyond one workload's length re-suffixes
     ``ctx_id`` to keep every record unique.
     """
-    app_cls, _ = LOADGEN_APPS[app_name]
-    contexts = app_cls().generate_workload(err_rate, seed=seed)
+    # The app's own generator at its own defaults (not the pack's small
+    # golden-suite ``workload_kwargs``).
+    contexts = _app_pack(app_name).workload_factory(err_rate, seed)
     if not contexts:
         raise ValueError(f"app {app_name!r} generated an empty workload")
     records = []

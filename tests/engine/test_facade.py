@@ -4,9 +4,11 @@ import pytest
 
 from repro.engine import EngineConfig, ShardedEngine
 from repro.engine.workload import scalability_workload
+from repro.ledger import verify_ledger
 from repro.middleware.bus import (
     ContextAdmitted,
     ContextDelivered,
+    ContextDiscarded,
     Event,
 )
 
@@ -77,9 +79,11 @@ class TestShardedEngineModes:
         seen = []
         engine.bus.subscribe(Event, seen.append)
         result = engine.run(stream)
-        assert seen == result.events
-        stamps = [e.at for e in result.events]
-        assert stamps == sorted(stamps)
+        assert [
+            e.context for e in seen if isinstance(e, ContextDiscarded)
+        ] == result.discarded
+        stamps = [e.at for e in seen]
+        assert stamps and stamps == sorted(stamps)
 
     def test_per_shard_stats_cover_all_constraints(self):
         constraints, stream = small_workload()
@@ -97,13 +101,32 @@ class TestShardedEngineModes:
         engine = ShardedEngine(
             constraints, config=EngineConfig(shards=2)
         )
+        delivered = []
+        engine.bus.subscribe(ContextDelivered, delivered.append)
         result = engine.run(stream)
-        from_events = [
-            e.context.ctx_id
-            for e in result.events
-            if isinstance(e, ContextDelivered)
-        ]
-        assert from_events == result.delivered_ids
+        assert [e.context.ctx_id for e in delivered] == result.delivered_ids
+
+    def test_failed_run_releases_its_session(self, tmp_path):
+        constraints, stream = small_workload(40)
+        path = tmp_path / "run.jsonl"
+        engine = ShardedEngine(
+            constraints,
+            config=EngineConfig(shards=2, ledger_path=str(path)),
+        )
+
+        def failing_source():
+            yield from stream[:10]
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            engine.run(failing_source())
+        assert verify_ledger(str(path)).ok
+        # Nothing of the failed session is left on the bus: a rerun
+        # writes a clean ledger and decides like a fresh engine.
+        result = engine.run(stream)
+        assert verify_ledger(str(path)).ok
+        fresh = ShardedEngine(constraints, config=EngineConfig(shards=2))
+        assert result.decision_signature() == fresh.run(stream).decision_signature()
 
     def test_single_shard_engine_works(self):
         constraints, stream = small_workload(50)
@@ -125,16 +148,7 @@ class TestShardedEngineModes:
         constraints, stream = small_workload(30)
         engine = ShardedEngine(constraints, config=EngineConfig(shards=2))
         first = engine.run(stream)
-        events = list(first.events)
+        delivered = list(first.delivered_ids)
         second = engine.run(stream)
-        assert first.events == events
-        assert len(second.events) == len(events)
-
-    def test_rerun_resets_router_counts(self):
-        constraints, stream = small_workload(30)
-        engine = ShardedEngine(
-            constraints, config=EngineConfig(shards=2)
-        )
-        engine.run(stream)
-        engine.run(stream)
-        assert sum(engine.router.routed.values()) == 30
+        assert first.delivered_ids == delivered
+        assert second.delivered_ids == delivered

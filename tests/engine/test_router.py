@@ -54,10 +54,3 @@ class TestContextRouter:
         assert [first.route(c) for c in contexts] == [
             second.route(c) for c in contexts
         ]
-
-    def test_routed_counts_and_skew(self):
-        router = ContextRouter(partition(shards=2))
-        for i in range(6):
-            router.route(make_context(ctx_type="loc", subject=f"s{i}"))
-        assert sum(router.routed.values()) == 6
-        assert router.load_skew() >= 1.0

@@ -1,9 +1,10 @@
 """Open engine sessions: chunked submit+close == one closed-loop run.
 
-:class:`EngineStream` claims any chunking of a stream through an open
-session is byte-identical to ``ShardedEngine.run`` over the whole
-stream.  Randomized streams x chunk shapes pin that claim, reusing the
-golden equivalence suite's generators.
+``ShardedEngine.run`` is one open session fed in fixed-size chunks, so
+any other chunking of a stream through ``open_stream`` must give
+byte-identical decisions and ledgers.  Randomized streams x chunk
+shapes pin that claim, reusing the golden equivalence suite's
+generators.
 """
 
 import random
@@ -16,6 +17,7 @@ from repro.middleware.bus import (
     ContextDiscarded,
     ContextExpired,
 )
+from repro.scenarios.registry import get_pack
 
 from .test_equivalence import make_constraints, make_stream
 
@@ -168,3 +170,30 @@ def test_shard_count_is_transparent_for_sessions(shards):
     assert sorted(e for e in actual if e[0] == "E") == sorted(
         e for e in expected if e[0] == "E"
     )
+
+
+@pytest.mark.parametrize("pack_name", ["call-forwarding", "rfid"])
+def test_run_and_session_write_byte_identical_ledgers(pack_name, tmp_path):
+    """``run`` is one open session: header, entries and chain all match."""
+    pack = get_pack(pack_name)
+    stream = pack.generate_workload(0.3, pack.default_seed)
+
+    def engine_for(path):
+        return ShardedEngine(
+            pack.build_constraints(),
+            strategy="drop-bad",
+            registry_factory=pack.build_registry,
+            config=EngineConfig(
+                shards=2, use_window=pack.use_window, ledger_path=str(path)
+            ),
+        )
+
+    engine_for(tmp_path / "run.jsonl").run(stream)
+    session = engine_for(tmp_path / "session.jsonl").open_stream()
+    for chunk in chunked(stream, random.Random(7)):
+        session.submit(chunk)
+    session.close()
+
+    run_bytes = (tmp_path / "run.jsonl").read_bytes()
+    assert run_bytes.count(b"\n") > len(stream)
+    assert run_bytes == (tmp_path / "session.jsonl").read_bytes()

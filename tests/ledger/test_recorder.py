@@ -2,7 +2,7 @@
 
 Every host publishes the same lifecycle vocabulary, so the recorder
 must produce equivalent ledgers wherever it listens: the middleware's
-plug-in and the engine's post-hoc conversion.
+plug-in and the engine's open stream.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.ledger import (
     LedgerRecorder,
     LedgerService,
     diff_ledgers,
-    entries_from_events,
     ledger_signature,
     read_ledger,
     verify_ledger,
@@ -116,15 +115,16 @@ class TestShardAttribution:
 
 
 class TestRecorderApi:
-    def test_entries_from_events_defaults_to_shard_zero(self, app_case):
-        constraints, registry_factory, stream, strategy, use_window = app_case
-        engine = ShardedEngine(
-            constraints,
-            strategy=strategy,
-            registry_factory=registry_factory,
-            config=EngineConfig(shards=1, use_window=use_window),
+    def test_recorder_defaults_to_shard_zero(self):
+        constraints, stream = scalability_workload(
+            80, scope_groups=4, types_per_group=2
         )
-        entries = entries_from_events(engine.run(stream[:20]).events)
+        engine = ShardedEngine(constraints, config=EngineConfig(shards=4))
+        entries = []
+        recorder = LedgerRecorder(entries.append)
+        recorder.attach(engine.bus)
+        engine.run(stream)
+        recorder.detach()
         assert entries and {e["shard"] for e in entries} == {0}
 
     def test_attach_twice_raises(self):

@@ -150,7 +150,13 @@ class TestApplicationStreamGoldens:
 
     @pytest.mark.parametrize("app_key", sorted(APPS))
     def test_batch_toggle_is_decision_neutral(self, app_key):
-        """--no-runtime-batch is a perf lever, never a decision lever."""
+        """The per-context arrival path decides exactly as the batch path.
+
+        ``engine.run`` (and every open-stream ``submit``) goes through
+        :func:`~repro.runtime.batch.receive_batch`; feeding the same
+        app stream one context at a time through ``driver.receive``
+        must reproduce the same golden.
+        """
         golden = APPS[app_key]["runs"]["inline-kernels-on"]
         constraints, registry_factory, stream, strategy, use_window = (
             _streams.app_inputs(app_key)
@@ -160,13 +166,20 @@ class TestApplicationStreamGoldens:
             strategy=strategy,
             registry_factory=registry_factory,
             config=EngineConfig(
-                shards=_streams.APP_SHARDS,
-                use_window=use_window,
-                runtime_batch=False,
+                shards=_streams.APP_SHARDS, use_window=use_window
             ),
         )
-        result = engine.run(stream)
-        signature = _streams.signature(
-            result.delivered_ids, result.discarded_ids
+        delivered, discarded = [], []
+        engine.bus.subscribe(
+            ContextDelivered, lambda e: delivered.append(e.context.ctx_id)
         )
+        engine.bus.subscribe(
+            ContextDiscarded, lambda e: discarded.append(e.context.ctx_id)
+        )
+        session = engine.open_stream()
+        for ctx in stream:
+            session.driver.receive(ctx)
+        session.close()
+        assert session.submitted == 0  # the batch path never ran
+        signature = _streams.signature(delivered, discarded)
         assert signature == golden["signature"]

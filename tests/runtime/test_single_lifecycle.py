@@ -60,14 +60,18 @@ class TestSingleLifecycleModule:
 
     def test_shard_pipeline_inherits_the_runtime_stages(self):
         assert issubclass(shard.ShardPipeline, ResolutionPipeline)
-        assert issubclass(shard.StreamDriver, PipelineDriver)
         # The shard overrides only decorate with counters; the stage
         # bodies they execute are the inherited ones.
-        for name in ("add", "use"):
+        for name in ("add", "expire_on_receive"):
             override = inspect.getsource(getattr(shard.ShardPipeline, name))
             assert f"super().{name}(" in override
-        for name in ("expire_due", "next_expiry", "attach_telemetry"):
+        for name in ("use", "expire_due", "next_expiry", "attach_telemetry"):
             assert name not in shard.ShardPipeline.__dict__
+        # The engine drives its shards through the runtime's own driver.
+        assert not any(
+            isinstance(value, type) and issubclass(value, PipelineDriver)
+            for value in vars(shard).values()
+        )
 
     def test_middleware_delegates_to_the_runtime(self):
         from repro.constraints.checker import ConstraintChecker
